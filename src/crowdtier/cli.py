@@ -15,6 +15,7 @@ from . import auction, estimators, harness, notifier, quality
 from .errors import (
     ConfigError,
     CrowdtierError,
+    DomainError,
     InvariantError,
 )
 from .graph import SocialGraph, load_edge_list
@@ -43,15 +44,28 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _number(text: str, flag: str) -> Fraction:
+    try:
+        return as_fraction(text)
+    except DomainError:
+        raise ConfigError(f"{flag} must be a finite number, got {text!r}") from None
+
+
 def _load_costs_csv(path: str) -> dict[int, Fraction]:
     costs: dict[int, Fraction] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line or line.lower().startswith("node"):
                 continue
-            node, cost = line.split(",")
-            costs[int(node)] = Fraction(cost)
+            try:
+                node, cost = line.split(",")
+                costs[int(node)] = as_fraction(cost)
+            except (ValueError, DomainError):
+                raise ConfigError(
+                    f"{path} line {lineno}: expected node_id,cost with an integer id "
+                    f"and a finite cost: {line!r}"
+                ) from None
     return costs
 
 
@@ -105,9 +119,9 @@ def _cmd_graph_info(args) -> int:
 def _cmd_tier1(args) -> int:
     graph = load_edge_list(args.graph)
     costs = _dense_costs(graph, args)
-    budget = as_fraction(args.budget)
+    budget = _number(args.budget, "--budget")
     if args.command == "tenm":
-        outcome = notifier.tenm_run(graph, costs, budget, as_fraction(args.delta))
+        outcome = notifier.tenm_run(graph, costs, budget, _number(args.delta, "--delta"))
     elif args.command == "ntbfm":
         outcome = notifier.ntbfm(graph, costs, budget)
     else:
@@ -174,7 +188,7 @@ def _cmd_wipd(args) -> int:
         vals = _generated_valuations(args)
     oracle = auction.BruteForceOracle(vals, policy=args.policy)
     outcome = auction.wipd_run(
-        args.num_tasks, list(vals), oracle, as_fraction(args.epsilon),
+        args.num_tasks, list(vals), oracle, _number(args.epsilon, "--epsilon"),
         max_rounds=args.max_rounds,
     )
     _emit(
@@ -243,9 +257,9 @@ def _cmd_experiment(args) -> int:
         edge_prob=args.edge_prob,
         cost_lo=_parse_range(args.cost_range)[0],
         cost_hi=_parse_range(args.cost_range)[1],
-        budget=as_fraction(args.budget),
-        delta=as_fraction(args.delta),
-        epsilon=as_fraction(args.epsilon),
+        budget=_number(args.budget, "--budget"),
+        delta=_number(args.delta, "--delta"),
+        epsilon=_number(args.epsilon, "--epsilon"),
         seed=args.seed,
         rounds=args.rounds,
         deviation_frac=args.deviation_frac,

@@ -52,7 +52,7 @@ class SocialGraph:
         return _popcount(self.masks[i])
 
     def _check(self, i) -> None:
-        if not isinstance(i, int) or not 0 <= i < self.n:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.n:
             raise DomainError(f"unknown node id {i!r} (graph has {self.n} nodes)")
 
     def id_map_csv(self) -> str:

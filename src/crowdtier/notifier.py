@@ -1,18 +1,30 @@
 """Tier-1 notifier mechanisms: budget-feasible greedy selection with
 threshold payments, plus the NTBFM and PSM baselines.
 
-All ratio comparisons are exact (integer marginals over Fraction costs),
-so threshold conditions that hold with equality are never lost to
-floating-point rounding.  The greedy argmax uses lazy re-evaluation: a
-candidate's cached marginal only shrinks as the covered set grows, so a
-popped entry whose marginal is unchanged is the true argmax.
+The greedy and its payments run on exact integers.  Each call scales the
+reported costs once: with D the lcm of their denominators, C_i = c_i * D
+is an integer, and with L = lcm(C_i) and w_i = L // C_i, the ratio
+m / c_i = m * w_i * D / L orders exactly as the integer m * w_i.  The
+lazy heap is keyed by (-m * w_i, i), and every admission test and
+payment comparison is an integer cross-multiplication, so threshold
+conditions that hold with equality are never lost to rounding, however
+large L grows.
+
+The greedy argmax uses lazy re-evaluation (CELF): a candidate's cached
+marginal only shrinks as the covered set grows, so a popped entry whose
+marginal is unchanged is the true argmax.  The resulting order is the
+argmax sequence with ties to the lowest id, whatever the heap's layout;
+:func:`npm_prices` relies on that to share one forward pass among all
+of its payment reruns.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -23,10 +35,17 @@ Numeric = int | float | Fraction
 
 
 def as_fraction(x: Numeric) -> Fraction:
-    """Exact rational from int/Fraction; decimal-literal reading for floats."""
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    """Exact rational from int/Fraction; decimal-literal reading for floats.
+
+    Raises DomainError on anything that is not a finite rational number
+    (NaN, infinities, None, malformed strings).
+    """
+    try:
+        if isinstance(x, float):
+            return Fraction(str(x))
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"not a finite rational number: {x!r}") from None
 
 
 @dataclass
@@ -44,7 +63,6 @@ class NotifierOutcome:
     budget: Fraction
     delta: Fraction | None = None
     elapsed_ms: float = 0.0
-    greedy_marginals: list[int] = field(default_factory=list)
 
     @property
     def total_payment(self) -> Fraction:
@@ -89,35 +107,94 @@ def _cost_map(graph_n: int, costs: Mapping[int, Numeric]) -> dict[int, Fraction]
     return out
 
 
-def _lazy_greedy(oracle: CoverageOracle, costs: Mapping[int, Fraction], accept):
-    """Marginal-per-cost greedy over the oracle's candidates.
+def _scaled_costs(n: int, costs: Mapping[int, Numeric]) -> tuple[list[int], int]:
+    """Validated costs as integers ``C_i = c_i * D``, with ``D`` the lcm of
+    the cost denominators, and ``D`` itself."""
+    cost = _cost_map(n, costs)
+    scale = math.lcm(*{c.denominator for c in cost.values()})
+    return [c.numerator * (scale // c.denominator) for c in cost.values()], scale
 
-    ``accept(node, marginal, covered_value)`` decides admission of the
-    current argmax; the first rejected argmax ends the run and is
-    reported as the first loser.  Ties in the ratio break to the lowest
-    node id.  Returns (selections, first_loser) where selections is a
-    list of (node, marginal_at_selection) and first_loser is
-    (node, marginal) or None when candidates ran out.
-    """
-    session = oracle.session()
+
+def _greedy_heap(masks: tuple[int, ...], scaled: list[int]):
+    """Heap weights ``w_i = L // C_i`` with ``L = lcm(C)``, and the initial
+    lazy heap of entries ``(-m * w_i, i, m)``.  ``m * w_i = m * L / C_i``
+    orders exactly as the ratio m / c_i, so popping the smallest entry
+    takes the largest ratio with ties to the lowest id."""
+    top = math.lcm(*set(scaled))
+    weights = [top // c for c in scaled]
     heap = []
-    for i in oracle.candidates():
-        m = session.gain(i)
-        heapq.heappush(heap, (Fraction(-m, costs[i]), i, m))
+    for i, (mask, w) in enumerate(zip(masks, weights)):
+        m = mask.bit_count()
+        heap.append((-m * w, i, m))
+    heapq.heapify(heap)
+    return weights, heap
 
-    selections: list[tuple[int, int]] = []
+
+def _argmax_order(masks, weights, heap, covered: int = 0, value: int = 0):
+    """Lazy (CELF) marginal-per-cost greedy order over the nodes in ``heap``.
+
+    Yields one position ``(node, marginal, covered, value)`` per node, where
+    ``covered`` is the mask notified by the nodes before it and ``value``
+    its size; each yielded node is then added to the covered set.  Once the
+    heap is empty a terminal position ``(None, 0, covered, value)`` follows.
+    ``heap`` is consumed in place: between two positions it holds every
+    node not yet yielded, keyed by an upper bound of its ratio.
+    """
+    free = ~covered
     while heap:
-        key, i, scored = heapq.heappop(heap)
-        m = session.gain(i)
+        _, i, scored = heapq.heappop(heap)
+        m = (masks[i] & free).bit_count()
         if m != scored:
-            heapq.heappush(heap, (Fraction(-m, costs[i]), i, m))
+            heapq.heappush(heap, (-m * weights[i], i, m))
             continue
-        if accept(i, m, session.value):
-            selections.append((i, m))
-            session.add(i)
-        else:
-            return selections, (i, m)
-    return selections, None
+        yield i, m, covered, value
+        covered |= masks[i]
+        free = ~covered
+        value += m
+    yield None, 0, covered, value
+
+
+def _until_rejected(order, scaled: list[int], share: Fraction, scale: int):
+    """The positions of ``order`` up to and including the first one the
+    admission rule ``c_i <= share * m / (h + m)`` rejects: the first loser,
+    or the terminal position.  A zero marginal is never admitted.  With
+    ``c_i = C_i / D`` the test is ``C_i * (h + m) * den <= num * D * m``."""
+    num, den = share.numerator * scale, share.denominator
+    for position in order:
+        yield position
+        i, m, _, h = position
+        if not (m and scaled[i] * (h + m) * den <= num * m):
+            return
+
+
+def _threshold(reach: int, positions, scaled: list[int], scale: int, budget: Fraction) -> Fraction:
+    """Critical value of the winner whose neighbourhood mask is ``reach``,
+    from the positions of its rerun (each admitted one, then the first
+    rejected one): the largest candidate min(nabla_k, rho_k) over the
+    positions where the winner would still notify someone.
+
+    rho_k = B * h_jk / (h(T_k) + h_jk) never grows along the rerun, since
+    the covered set T_k only grows, so the scan stops once rho_k cannot
+    beat the running maximum; it also stops once h_jk is 0.  Candidates
+    are compared as integer (numerator, denominator) pairs.
+    """
+    best_num, best_den = 0, 1
+    for i, m, covered, h in positions:
+        gain = (reach & ~covered).bit_count()
+        if gain == 0:
+            break
+        num, den = budget.numerator * gain, budget.denominator * (h + gain)
+        if num * best_den <= best_num * den:
+            break
+        # A zero marginal at the loser leaves the positional cost
+        # unbounded, so the budget share alone caps the candidate.
+        if m:
+            nabla_num, nabla_den = gain * scaled[i], scale * m
+            if nabla_num * den < num * nabla_den:
+                num, den = nabla_num, nabla_den
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def nam_select(
@@ -143,43 +220,13 @@ def nam_select(
     if graph.n == 0:
         return [], frozenset()
 
-    cost = _cost_map(graph.n, costs)
-    oracle = CoverageOracle(graph)
-    share = budget / delta
-
-    def accept(i: int, marginal: int, covered: int) -> bool:
-        if marginal == 0:
-            return False
-        return cost[i] <= share * Fraction(marginal, covered + marginal)
-
-    selections, _ = _lazy_greedy(oracle, cost, accept)
-    selected = [i for i, _ in selections]
-    return selected, oracle.covered(selected)
-
-
-def _payment_rerun(
-    oracle: CoverageOracle, cost: Mapping[int, Fraction], budget: Fraction, winner: int
-):
-    """Greedy rerun with the winner excluded from candidacy (it stays
-    notifiable, so competitors keep coverage credit for reaching it).
-
-    Uses the undamped admission threshold cost_i / B <= m / (m + h(S')).
-    Returns the position references [(cost_k, marginal_k), ...] covering
-    the rerun's selections followed by the first loser (when one exists),
-    plus the rerun's selection order.
-    """
-    restricted = oracle.without_node(winner)
-
-    def accept(i: int, marginal: int, covered: int) -> bool:
-        if marginal == 0:
-            return False
-        return cost[i] / budget <= Fraction(marginal, marginal + covered)
-
-    selections, loser = _lazy_greedy(restricted, cost, accept)
-    refs = [(cost[i], m) for i, m in selections]
-    if loser is not None:
-        refs.append((cost[loser[0]], loser[1]))
-    return refs, [i for i, _ in selections]
+    scaled, scale = _scaled_costs(graph.n, costs)
+    weights, heap = _greedy_heap(graph.masks, scaled)
+    positions = _until_rejected(
+        _argmax_order(graph.masks, weights, heap), scaled, budget / delta, scale
+    )
+    selected = [i for i, _, _, _ in positions][:-1]
+    return selected, CoverageOracle(graph).covered(selected)
 
 
 def npm_prices(
@@ -190,46 +237,59 @@ def npm_prices(
 ) -> dict[int, Fraction]:
     """Threshold payments for the winners of :func:`nam_select`.
 
-    For each winner j, the market is rerun without j; at every position
-    k of the rerun ordering (plus the first-loser position) the payment
-    candidate is min(nabla_jk, rho_jk), where nabla_jk is the cost j
-    could have revealed to take position k and rho_jk the budget share
-    at that position.  The payment is the maximum candidate.
+    For each winner j, the market is rerun without j as a candidate (j
+    stays notifiable, so competitors keep coverage credit for reaching
+    it) under the undamped rule cost_i <= B * m / (h(S) + m).  At every
+    position k of the rerun ordering (plus the first-loser position) the
+    payment candidate is min(nabla_jk, rho_jk), where nabla_jk is the
+    cost j could have revealed to take position k and rho_jk the budget
+    share at that position.  The payment is the maximum candidate.
+
+    The reruns share one forward pass.  The greedy order is the argmax
+    sequence with ties to the lowest id, so it does not depend on how the
+    lazy heap got there.  Removing j only removes j from the candidates;
+    every coverage value is unchanged, so the rerun for j takes the same
+    argmax as the full graph at every position before j's own position
+    p_j.  Hence the rerun is the full-graph order up to p_j, cut at the
+    first position R < p_j that the undamped rule rejects when there is
+    one; otherwise it resumes from a copy of the forward pass's lazy heap
+    and covered mask taken just after j is popped.  Costs are scaled to
+    integers once per call (see :func:`_greedy_heap`), and every
+    comparison is an integer cross-multiplication; each payment becomes
+    a ``Fraction`` only at the end.
+
+    Raises DomainError on an unknown, non-integer or repeated node id.
     """
     budget = as_fraction(budget)
     if budget <= 0:
         raise ConfigError("budget must be positive")
-    cost = _cost_map(graph.n, costs)
+    scaled, scale = _scaled_costs(graph.n, costs)
     for j in selected:
         graph._check(j)
-    oracle = CoverageOracle(graph)
+    pending = set(selected)
+    if len(pending) != len(selected):
+        raise DomainError(f"selected list repeats a node id: {selected!r}")
 
+    masks = graph.masks
+    weights, heap = _greedy_heap(masks, scaled)
     payments: dict[int, Fraction] = {}
-    for j in selected:
-        refs, order = _payment_rerun(oracle, cost, budget, j)
-
-        best = Fraction(0)
-        session = oracle.session()  # accumulates T_{k-1} in the full graph
-        for k in range(len(order) + 1):
-            h_jk = session.gain(j)
-            if h_jk > 0:
-                rho = budget * Fraction(h_jk, session.value + h_jk)
-                if k < len(refs):
-                    c_k, ref_marginal = refs[k]
-                    # ref_marginal == 0 leaves the positional cost unbounded,
-                    # so the budget share alone caps the candidate.
-                    if ref_marginal > 0:
-                        nabla = h_jk * c_k / ref_marginal
-                        candidate = min(nabla, rho)
-                    else:
-                        candidate = rho
-                else:
-                    candidate = rho
-                best = max(best, candidate)
-            if k < len(order):
-                session.add(order[k])
-        payments[j] = best
-    return payments
+    # Positions of the forward pass: the undamped rule's admitted prefix,
+    # then its first rejected position.
+    positions: list[tuple] = []
+    for position in _until_rejected(_argmax_order(masks, weights, heap), scaled, budget, scale):
+        if not pending:
+            break
+        j, _, covered, value = position
+        if j in pending:
+            pending.remove(j)
+            resumed = _argmax_order(masks, weights, heap[:], covered, value)
+            rerun = itertools.chain(positions, _until_rejected(resumed, scaled, budget, scale))
+            payments[j] = _threshold(masks[j], rerun, scaled, scale, budget)
+        positions.append(position)
+    # Winners after the forward pass's first rejection share its reruns.
+    for j in pending:
+        payments[j] = _threshold(masks[j], positions, scaled, scale, budget)
+    return {j: payments[j] for j in selected}
 
 
 def tenm_run(

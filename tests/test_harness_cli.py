@@ -3,7 +3,7 @@ import json
 import pytest
 
 from crowdtier import ConfigError, ExperimentConfig, run_experiment
-from crowdtier.cli import main
+from crowdtier.cli import _load_costs_csv, main
 from crowdtier.harness import (
     find_avr_witness,
     find_greedy_witness,
@@ -184,3 +184,27 @@ class TestCli:
                      "--costs", costs, "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["selected"] == [1, 6]
+
+    @pytest.mark.parametrize("row", ["2", "1,x", "1,nan", "x,1"])
+    def test_bad_costs_row_is_line_numbered_config_error(self, tmp_path, row):
+        path = tmp_path / "costs.csv"
+        path.write_text(f"node_id,cost\n1,2\n{row}\n")
+        with pytest.raises(ConfigError, match="line 3"):
+            _load_costs_csv(str(path))
+
+    def test_nan_costs_row_prints_one_error_line(self, capsys, tmp_path, ex6_paths):
+        path = tmp_path / "costs.csv"
+        path.write_text("node_id,cost\n1,2\n2,nan\n")
+        code = main(["tenm", "--graph", ex6_paths[0], "--budget", "12",
+                     "--costs", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "line 3" in err[0]
+
+    @pytest.mark.parametrize("budget", ["abc", "nan"])
+    def test_bad_budget_prints_one_error_line(self, capsys, ex6_paths, budget):
+        graph, costs = ex6_paths
+        code = main(["tenm", "--graph", graph, "--budget", budget, "--costs", costs])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --budget must be a finite number, got {budget!r}"]

@@ -17,6 +17,7 @@ from crowdtier import (
     tenm_run,
 )
 from crowdtier.graph import SocialGraph
+from crowdtier.notifier import as_fraction
 
 
 def random_instance(rng: random.Random, n_max: int = 10, cost_hi: int = 20):
@@ -107,6 +108,16 @@ class TestNpmPrices:
         graph, costs, budget, _, _ = ex6
         with pytest.raises(DomainError):
             npm_prices(graph, costs, budget, [42])
+
+    def test_repeated_winner_rejected(self, ex6):
+        graph, costs, budget, _, _ = ex6
+        with pytest.raises(DomainError):
+            npm_prices(graph, costs, budget, [1, 1])
+
+    def test_bool_winner_rejected(self, ex6):
+        graph, costs, budget, _, _ = ex6
+        with pytest.raises(DomainError):
+            npm_prices(graph, costs, budget, [True])
 
     def test_isolated_economy_pays_full_budget(self):
         # One real candidate (0) covering everything cheap; removing it
@@ -270,6 +281,16 @@ class TestPsm:
                         costs[i], outcome.payments.get(i, 0), i in outcome.payments
                     )
                     assert dev <= base
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), None, "abc", "1/0"])
+    def test_non_numbers_raise_domain_error(self, value):
+        with pytest.raises(DomainError):
+            as_fraction(value)
+
+    def test_float_reads_as_decimal_literal(self):
+        assert as_fraction(0.1) == Fraction(1, 10)
 
 
 class TestOutcomeInvariants:
