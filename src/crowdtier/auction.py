@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -54,14 +53,17 @@ class TableValuation:
     @classmethod
     def from_json(cls, text: str) -> dict[int, "TableValuation"]:
         """Parse {device: [{"subset": [task ids], "value": v}, ...]}."""
-        raw = json.loads(text)
-        out = {}
-        for device, entries in raw.items():
-            listed = {
-                frozenset(e["subset"]): Fraction(str(e["value"])) for e in entries
+        try:
+            return {
+                int(device): cls({
+                    frozenset(e["subset"]): Fraction(str(e["value"])) for e in entries
+                })
+                for device, entries in json.loads(text).items()
             }
-            out[int(device)] = cls(listed)
-        return out
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(
+                f'valuation table is not {{device: [{{"subset": [...], "value": v}}]}}: {exc!r}'
+            ) from None
 
     def value(self, bundle: Iterable[int]) -> Fraction:
         bundle = frozenset(bundle)
@@ -124,9 +126,6 @@ class BruteForceOracle:
         self.valuations = dict(valuations)
         self.policy = policy
 
-    def devices(self) -> list[int]:
-        return sorted(self.valuations)
-
     def demand(self, device, holdings, prices, epsilon, round_index) -> frozenset[int]:
         return brute_force_demand(
             self.valuations[device], holdings, prices, epsilon, self.policy
@@ -173,7 +172,6 @@ class AuctionOutcome:
     prices: tuple[Fraction, ...]
     rounds: int
     trace: list[TraceEntry] = field(default_factory=list)
-    elapsed_ms: float = 0.0
 
     def check(self) -> None:
         taken: set[int] = set()
@@ -186,14 +184,6 @@ class AuctionOutcome:
                 raise InvariantError(
                     f"payment of device {i} is {self.payments.get(i)}, expected {expected}"
                 )
-
-    def trace_csv(self) -> str:
-        lines = ["round,device,demanded,prices_after"]
-        for e in self.trace:
-            demanded = " ".join(map(str, e.demanded))
-            prices = " ".join(str(p) for p in e.prices_after)
-            lines.append(f"{e.round},{e.device},{demanded},{prices}")
-        return "\n".join(lines) + "\n"
 
 
 def wipd_run(
@@ -211,7 +201,6 @@ def wipd_run(
     with no demand; exceeding ``max_rounds`` raises TerminationError
     with the trace attached.
     """
-    start = time.perf_counter()
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise ConfigError("epsilon must be positive")
@@ -265,7 +254,6 @@ def wipd_run(
                 prices=final,
                 rounds=round_index,
                 trace=trace,
-                elapsed_ms=(time.perf_counter() - start) * 1000.0,
             )
             outcome.check()
             return outcome
@@ -347,7 +335,6 @@ def greedy_baseline(
     when their bundle is disjoint from everything accepted so far.
     Winners are paid their bid.
     """
-    start = time.perf_counter()
     bids: dict[int, tuple[frozenset[int], Fraction]] = {}
     for i, (bundle, bid) in requests.items():
         bundle = frozenset(bundle)
@@ -382,5 +369,4 @@ def greedy_baseline(
         payments=payments,
         prices=tuple(Fraction(0) for _ in range(num_tasks)),
         rounds=1,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )

@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import auction, estimators, harness, notifier, quality
+from . import auction, estimators, harness
 from .errors import (
     ConfigError,
     CrowdtierError,
@@ -20,8 +20,8 @@ from .errors import (
 )
 from .graph import SocialGraph, load_edge_list
 from .harness import ExperimentConfig, stream
-from .notifier import as_fraction
-from .report import canonical_json, jsonable
+from .notifier import Numeric, as_fraction
+from .report import canonical_json, csv_cell, jsonable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,16 +69,24 @@ def _load_costs_csv(path: str) -> dict[int, Fraction]:
     return costs
 
 
-def _emit(payload: dict, args) -> None:
-    if args.format == "json":
-        text = canonical_json(payload)
-    else:
-        lines = ["key,value"]
-        for key, value in sorted(jsonable(payload).items()):
-            if isinstance(value, (list, dict)):
-                value = json.dumps(value, sort_keys=True, separators=(",", ":")).replace(",", ";")
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
+def _load_valuations(path: str, num_tasks: int) -> dict[int, auction.AdditiveValuation]:
+    """Device -> {task: value} JSON, every task id in [0, num_tasks)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        vals = {
+            int(d): auction.AdditiveValuation({int(t): v for t, v in per.items()})
+            for d, per in json.loads(text).items()
+        }
+    except (ValueError, AttributeError, DomainError) as exc:
+        raise ConfigError(f"{path}: expected {{device: {{task: value}}}} JSON: {exc}") from None
+    for d, val in vals.items():
+        if any(not 0 <= t < num_tasks for t in val.per_task):
+            raise ConfigError(f"{path}: device {d} values a task outside 0..{num_tasks - 1}")
+    return vals
+
+
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -86,7 +94,16 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _dense_costs(graph: SocialGraph, args) -> dict[int, Fraction]:
+def _emit(payload: dict, args) -> None:
+    if args.format == "json":
+        _write(canonical_json(payload), args)
+    else:
+        lines = ["key,value"]
+        lines += [f"{key},{csv_cell(value)}" for key, value in sorted(jsonable(payload).items())]
+        _write("\n".join(lines) + "\n", args)
+
+
+def _dense_costs(graph: SocialGraph, args) -> dict[int, Numeric]:
     """Costs on dense node ids, from a CSV keyed by original labels or a
     seeded uniform draw."""
     if args.costs:
@@ -96,8 +113,7 @@ def _dense_costs(graph: SocialGraph, args) -> dict[int, Fraction]:
             raise ConfigError(f"cost file lacks nodes {sorted(missing)[:5]}")
         return {dense: by_label[label] for label, dense in graph.id_map.items()}
     lo, hi = _parse_range(args.cost_range)
-    rng = stream("costs", args.seed)
-    return {i: Fraction(rng.randint(lo, hi)) for i in range(graph.n)}
+    return harness.uniform_costs(range(graph.n), lo, hi, stream("costs", args.seed))
 
 
 def _cmd_graph_info(args) -> int:
@@ -120,12 +136,8 @@ def _cmd_tier1(args) -> int:
     graph = load_edge_list(args.graph)
     costs = _dense_costs(graph, args)
     budget = _number(args.budget, "--budget")
-    if args.command == "tenm":
-        outcome = notifier.tenm_run(graph, costs, budget, _number(args.delta, "--delta"))
-    elif args.command == "ntbfm":
-        outcome = notifier.ntbfm(graph, costs, budget)
-    else:
-        outcome = notifier.psm(costs, budget, graph)
+    delta = _number(args.delta, "--delta") if args.command == "tenm" else None
+    outcome = harness.run_tier1(args.command, graph, costs, budget, delta)
 
     label = {dense: orig for orig, dense in graph.id_map.items()}
     _emit(
@@ -144,13 +156,9 @@ def _cmd_tier1(args) -> int:
 
 
 def _cmd_quality(args) -> int:
-    devices = list(range(args.devices))
-    if args.dist == "normal":
-        source = quality.NormalPeaks(args.mu, args.sigma)
-    else:
-        source = quality.UniformPeaks()
-    runner = quality.ectai_run if args.command == "ectai" else quality.avr_run
-    ranking = runner(devices, args.f, args.g, source, seed=args.seed)
+    source = harness.peak_source(args.dist, args.mu, args.sigma)
+    ranking = harness.run_quality(args.command, range(args.devices), args.f, args.g, source,
+                                  seed=args.seed)
     _emit(
         {
             "mechanism": args.command,
@@ -165,27 +173,13 @@ def _cmd_quality(args) -> int:
     return 0
 
 
-def _generated_valuations(args) -> dict[int, auction.AdditiveValuation]:
-    lo, hi = _parse_range(args.val_range)
-    rng = stream("valuations", args.seed)
-    return {
-        d: auction.AdditiveValuation(
-            {t: rng.randint(lo, hi) for t in range(args.num_tasks)}
-        )
-        for d in range(args.bidders)
-    }
-
-
 def _cmd_wipd(args) -> int:
     if args.valuations:
-        with open(args.valuations, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        vals = {
-            int(d): auction.AdditiveValuation({int(t): v for t, v in per.items()})
-            for d, per in raw.items()
-        }
+        vals = _load_valuations(args.valuations, args.num_tasks)
     else:
-        vals = _generated_valuations(args)
+        lo, hi = _parse_range(args.val_range)
+        vals = harness.additive_values(stream("valuations", args.seed), args.bidders,
+                                       args.num_tasks, lo, hi)
     oracle = auction.BruteForceOracle(vals, policy=args.policy)
     outcome = auction.wipd_run(
         args.num_tasks, list(vals), oracle, _number(args.epsilon, "--epsilon"),
@@ -206,12 +200,8 @@ def _cmd_wipd(args) -> int:
 
 def _cmd_greedy(args) -> int:
     lo, hi = _parse_range(args.val_range)
-    rng = stream("requests", args.seed)
-    requests = {}
-    for d in range(args.bidders):
-        size = rng.randint(1, max(1, args.num_tasks // 2))
-        bundle = frozenset(rng.sample(range(args.num_tasks), size))
-        requests[d] = (bundle, rng.randint(lo, hi))
+    requests = harness.bundle_requests(stream("requests", args.seed), args.bidders,
+                                       args.num_tasks, lo, hi)
     outcome = auction.greedy_baseline(requests, num_tasks=args.num_tasks)
     _emit(
         {
@@ -275,12 +265,7 @@ def _cmd_experiment(args) -> int:
         val_hi=_parse_range(args.val_range)[1],
     )
     report = harness.run_experiment(config)
-    text = report.to_json() if args.format == "json" else report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(report.to_json() if args.format == "json" else report.to_csv(), args)
     return 0
 
 
@@ -307,7 +292,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--graph", required=True)
         p.add_argument("--budget", required=True)
-        p.add_argument("--delta", default="2")
+        if name == "tenm":
+            p.add_argument("--delta", default="2")
         p.add_argument("--costs", default=None, help="CSV of node_id,cost")
         p.add_argument("--cost-range", default="20:50", help="LO:HI for generated costs")
         _add_output_flags(p)
@@ -377,10 +363,6 @@ def build_parser() -> _Parser:
     p.add_argument("--g", type=int, default=3)
     p.add_argument("--num-tasks", type=int, default=6)
     p.add_argument("--bidders", type=int, default=3)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker hint; execution is deterministic regardless of value",
-    )
     _add_output_flags(p)
     p.set_defaults(func=_cmd_experiment)
 

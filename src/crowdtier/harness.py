@@ -1,9 +1,11 @@
 """Experiment harness: seeded instance generation, deviation injection,
 mechanism execution, and report assembly.
 
-All randomness flows through named, per-(seed, round) streams so reports
-are byte-identical across reruns and independent of scheduling.  Wall
-clock is deliberately kept out of serialized reports for the same
+The instance generators and mechanism dispatch here are shared with the
+CLI.  Each caller passes a generator its own named RNG stream (a round
+uses ``stream("round", seed, r)``, the CLI ``stream("costs", seed)`` and
+kin), so reports are byte-identical across reruns and independent of
+scheduling.  Wall clock is kept out of serialized reports for the same
 reason.
 """
 
@@ -11,11 +13,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Sequence
 
-from . import auction, estimators, notifier, quality
+from . import auction, notifier, quality
 from .errors import ConfigError
 from .graph import SocialGraph, build_graph, load_edge_list
 from .notifier import Numeric, as_fraction
@@ -113,6 +116,51 @@ def uniform_costs(ids: Sequence[int], lo: int, hi: int, rng: random.Random) -> d
     return {i: rng.randint(lo, hi) for i in ids}
 
 
+def additive_values(
+    rng: random.Random, bidders: int, tasks: int, lo: int, hi: int
+) -> dict[int, auction.AdditiveValuation]:
+    """Per-task values uniform on [lo, hi], bidder by bidder."""
+    return {
+        d: auction.AdditiveValuation({t: rng.randint(lo, hi) for t in range(tasks)})
+        for d in range(bidders)
+    }
+
+
+def bundle_requests(
+    rng: random.Random, bidders: int, tasks: int, lo: int, hi: int
+) -> dict[int, tuple[frozenset[int], int]]:
+    """One (bundle of up to tasks // 2 tasks, bid on [lo, hi]) per bidder."""
+    requests = {}
+    for d in range(bidders):
+        size = rng.randint(1, max(1, tasks // 2))
+        bundle = frozenset(rng.sample(range(tasks), size))
+        requests[d] = (bundle, rng.randint(lo, hi))
+    return requests
+
+
+def peak_source(dist: str, mu: float, sigma: float):
+    if dist == "normal":
+        return quality.NormalPeaks(mu, sigma)
+    return quality.UniformPeaks()
+
+
+# Mechanisms are looked up on their modules at call time, so a wrapper
+# installed on the module attribute sees every call.
+
+def run_tier1(mechanism: str, graph: SocialGraph, costs, budget, delta) -> notifier.NotifierOutcome:
+    if mechanism == "tenm":
+        return notifier.tenm_run(graph, costs, budget, delta)
+    if mechanism == "ntbfm":
+        return notifier.ntbfm(graph, costs, budget)
+    return notifier.psm(costs, budget, graph)
+
+
+def run_quality(mechanism: str, devices, f: int, g: int, peaks, seed: int = 0,
+                script=None) -> quality.QualityRanking:
+    runner = quality.ectai_run if mechanism == "ectai" else quality.avr_run
+    return runner(devices, f, g, peaks, seed=seed, script=script)
+
+
 # --- tier-1 rounds --------------------------------------------------------
 
 def _run_tier1_round(config: ExperimentConfig, graph: SocialGraph, r: int) -> dict:
@@ -123,13 +171,7 @@ def _run_tier1_round(config: ExperimentConfig, graph: SocialGraph, r: int) -> di
     for d in deviators:
         reported[d] = max(1, reported[d] - config.deviation_delta)
 
-    if config.mechanism == "tenm":
-        outcome = notifier.tenm_run(graph, reported, config.budget, config.delta)
-    elif config.mechanism == "ntbfm":
-        outcome = notifier.ntbfm(graph, reported, config.budget)
-    else:
-        outcome = notifier.psm(reported, config.budget, graph)
-
+    outcome = run_tier1(config.mechanism, graph, reported, config.budget, config.delta)
     total_utility = sum(
         (notifier.notifier_utility(true_costs[i], outcome.payments[i], True)
          for i in outcome.selected),
@@ -154,53 +196,33 @@ def _run_tier1_round(config: ExperimentConfig, graph: SocialGraph, r: int) -> di
 
 # --- quality rounds -------------------------------------------------------
 
-def _peak_distribution(config: ExperimentConfig):
-    if config.dist == "normal":
-        return quality.NormalPeaks(config.mu, config.sigma)
-    return quality.UniformPeaks()
-
-
 def _quality_fixture(config: ExperimentConfig, devices: list[int], r: int):
-    """Pre-draw batch composition, positions, true peaks, and reports.
+    """Plan every batch on the round's streams, then rewrite the deviators'
+    reports.
 
     Deviating reviewers report the position of their favorite panel
     device (the one nearest their true peak) instead of the peak itself.
     """
-    source = _peak_distribution(config)
     deviators = set(
         pick_deviators(devices, config.deviation_frac, stream("deviators", config.seed, r))
     )
-    scripts: list[quality.BatchScript] = []
-    reports: dict[tuple[int, int], float] = {}
-    true_peaks: dict[tuple[int, int], float] = {}
-    unranked = sorted(devices)
-    batch = 0
-    while unranked:
-        rng = stream("qbatch", config.seed, r, batch)
-        eta = sorted(rng.sample(unranked, min(config.f, len(unranked))))
-        pool = [d for d in devices if d not in eta]
-        if len(pool) < config.g:
-            raise ConfigError(f"f + g = {config.f + config.g} exceeds the {len(devices)} available devices")
-        reviewers = sorted(rng.sample(pool, config.g))
-        positions = {d: rng.random() for d in eta}
-        for rev in reviewers:
-            alpha = source.sample(batch, rev, rng)
-            true_peaks[(batch, rev)] = alpha
-            if rev in deviators:
-                favorite = min(eta, key=lambda d: (abs(positions[d] - alpha), d))
-                reports[(batch, rev)] = positions[favorite]
-            else:
-                reports[(batch, rev)] = alpha
-        scripts.append(quality.BatchScript(tuple(eta), tuple(reviewers), positions))
-        unranked = [d for d in unranked if d not in eta]
-        batch += 1
+    scripts, true_peaks = quality.plan_batches(
+        devices, config.f, config.g, peak_source(config.dist, config.mu, config.sigma),
+        lambda batch: stream("qbatch", config.seed, r, batch),
+    )
+    reports = dict(true_peaks)
+    for batch, entry in enumerate(scripts):
+        for rev in deviators.intersection(entry.reviewers):
+            alpha = true_peaks[(batch, rev)]
+            favorite = min(entry.eta, key=lambda d: (abs(entry.positions[d] - alpha), d))
+            reports[(batch, rev)] = entry.positions[favorite]
     return scripts, quality.ScriptedPeaks(reports), true_peaks, sorted(deviators)
 
 
 def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> dict:
     scripts, peaks, true_peaks, deviators = _quality_fixture(config, devices, r)
-    runner = quality.ectai_run if config.mechanism == "ectai" else quality.avr_run
-    ranking = runner(devices, config.f, config.g, peaks, seed=config.seed, script=scripts)
+    ranking = run_quality(config.mechanism, devices, config.f, config.g, peaks,
+                          seed=config.seed, script=scripts)
 
     regrets = []
     deviator_regrets = []
@@ -222,28 +244,17 @@ def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> 
 
 # --- auction rounds -------------------------------------------------------
 
-def _auction_valuations(config: ExperimentConfig, r: int):
+def _run_wipd_round(config: ExperimentConfig, r: int) -> dict:
     rng = stream("round", config.seed, r)
-    true_vals = {
-        d: {t: rng.randint(config.val_lo, config.val_hi) for t in range(config.num_tasks)}
-        for d in range(config.num_bidders)
-    }
+    truth = additive_values(rng, config.num_bidders, config.num_tasks,
+                            config.val_lo, config.val_hi)
     deviators = pick_deviators(range(config.num_bidders), config.deviation_frac, rng)
     factor = as_fraction(config.deviation_factor)
-    reported = {
-        d: auction.AdditiveValuation(vals).scaled(factor if d in deviators else 1)
-        for d, vals in true_vals.items()
-    }
-    return true_vals, reported, deviators
-
-
-def _run_wipd_round(config: ExperimentConfig, r: int) -> dict:
-    true_vals, reported, deviators = _auction_valuations(config, r)
+    reported = {d: v.scaled(factor if d in deviators else 1) for d, v in truth.items()}
     oracle = auction.BruteForceOracle(reported, policy="paper-literal")
     outcome = auction.wipd_run(
         config.num_tasks, list(reported), oracle, config.epsilon
     )
-    truth = {d: auction.AdditiveValuation(v) for d, v in true_vals.items()}
     total_utility = sum(
         (auction.device_utility(outcome.payments[d], truth[d].value(bundle), True)
          for d, bundle in outcome.allocation.items() if bundle),
@@ -261,27 +272,21 @@ def _run_wipd_round(config: ExperimentConfig, r: int) -> dict:
 
 def _run_greedy_round(config: ExperimentConfig, r: int) -> dict:
     rng = stream("round", config.seed, r)
-    m = config.num_tasks
-    requests: dict[int, tuple[frozenset[int], int]] = {}
-    true_value: dict[int, int] = {}
-    for d in range(config.num_bidders):
-        size = rng.randint(1, max(1, m // 2))
-        bundle = frozenset(rng.sample(range(m), size))
-        true_value[d] = rng.randint(config.val_lo, config.val_hi)
-        requests[d] = (bundle, true_value[d])
+    requests = bundle_requests(rng, config.num_bidders, config.num_tasks,
+                               config.val_lo, config.val_hi)
     deviators = pick_deviators(range(config.num_bidders), config.deviation_frac, rng)
     factor = as_fraction(config.deviation_factor)
     reported = {
         d: (bundle, as_fraction(bid) * (factor if d in deviators else 1))
         for d, (bundle, bid) in requests.items()
     }
-    outcome = auction.greedy_baseline(reported, num_tasks=m)
+    outcome = auction.greedy_baseline(reported, num_tasks=config.num_tasks)
     total_utility = sum(
-        (outcome.payments[d] - true_value[d] for d in outcome.allocation),
+        (outcome.payments[d] - requests[d][1] for d in outcome.allocation),
         Fraction(0),
     )
     deviator_utility = sum(
-        (outcome.payments[d] - true_value[d] for d in outcome.allocation
+        (outcome.payments[d] - requests[d][1] for d in outcome.allocation
          if d in deviators),
         Fraction(0),
     )
@@ -305,19 +310,19 @@ def run_experiment(config: ExperimentConfig) -> MechanismReport:
 
     if config.mechanism in TIER1:
         graph = load_config_graph(config)
-        for r in range(1, config.rounds + 1):
-            report.add_round(r, **_run_tier1_round(config, graph, r))
+        play = partial(_run_tier1_round, config, graph)
     elif config.mechanism in TIER2_QUALITY:
-        graph = load_config_graph(config)
-        devices = list(range(graph.n))
-        for r in range(1, config.rounds + 1):
-            report.add_round(r, **_run_quality_round(config, devices, r))
+        # Quality ranking reads no edges, so no synthetic graph is drawn.
+        n = config.synthetic_n
+        if config.graph_path is not None:
+            n = load_edge_list(config.graph_path).n
+        play = partial(_run_quality_round, config, list(range(n)))
     elif config.mechanism == "wipd":
-        for r in range(1, config.rounds + 1):
-            report.add_round(r, **_run_wipd_round(config, r))
+        play = partial(_run_wipd_round, config)
     else:
-        for r in range(1, config.rounds + 1):
-            report.add_round(r, **_run_greedy_round(config, r))
+        play = partial(_run_greedy_round, config)
+    for r in range(1, config.rounds + 1):
+        report.add_round(r, **play(r))
 
     report.budget_feasible = all(
         bool(r.metrics.get("budget_feasible", True)) for r in report.rounds
@@ -375,11 +380,7 @@ def find_greedy_witness(
     for inst in range(instances):
         rng = stream("greedy-witness", seed, inst)
         bidders = rng.randint(2, 4)
-        requests = {}
-        for d in range(bidders):
-            size = rng.randint(1, max(1, num_tasks // 2))
-            bundle = frozenset(rng.sample(range(num_tasks), size))
-            requests[d] = (bundle, rng.randint(lo, hi))
+        requests = bundle_requests(rng, bidders, num_tasks, lo, hi)
         for device in range(bidders):
             bundle, true_bid = requests[device]
             for report in range(lo, hi + 1):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -62,7 +61,6 @@ class NotifierOutcome:
     payments: dict[int, Fraction]
     budget: Fraction
     delta: Fraction | None = None
-    elapsed_ms: float = 0.0
 
     @property
     def total_payment(self) -> Fraction:
@@ -299,10 +297,8 @@ def tenm_run(
     delta: Numeric = 2,
 ) -> NotifierOutcome:
     """Full tier-1 mechanism: greedy allocation followed by threshold payments."""
-    start = time.perf_counter()
     selected, notified = nam_select(graph, costs, budget, delta)
     payments = npm_prices(graph, costs, budget, selected)
-    elapsed = (time.perf_counter() - start) * 1000.0
     outcome = NotifierOutcome(
         mechanism="tenm",
         selected=selected,
@@ -310,7 +306,6 @@ def tenm_run(
         payments=payments,
         budget=as_fraction(budget),
         delta=as_fraction(delta),
-        elapsed_ms=elapsed,
     )
     outcome.check(costs={i: as_fraction(costs[i]) for i in selected})
     return outcome
@@ -322,7 +317,6 @@ def ntbfm(
     """Pay-as-bid baseline: one static sort by initial marginal per cost,
     then a scan that selects while the reported cost fits the remaining
     budget and terminates at the first that does not."""
-    start = time.perf_counter()
     budget = as_fraction(budget)
     if budget <= 0:
         raise ConfigError("budget must be positive")
@@ -347,7 +341,6 @@ def ntbfm(
         notified=oracle.covered(selected),
         payments=payments,
         budget=budget,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
     outcome.check()
     return outcome
@@ -363,7 +356,6 @@ def psm(
     min(B/k, c_{k+1}); with no loser the payment is B/k.  The graph is
     ignored by the rule and only used to report the notified set.
     """
-    start = time.perf_counter()
     budget = as_fraction(budget)
     if budget <= 0:
         raise ConfigError("budget must be positive")
@@ -397,7 +389,6 @@ def psm(
         notified=notified,
         payments=payments,
         budget=budget,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
     outcome.check()
     return outcome

@@ -1,12 +1,15 @@
 """Tier-2 quality identification: batch devices onto the [0,1] scale,
 collect reviewer peak reports, and pick each batch's winner by the report
 median (or the mean, for the AVR baseline).
+
+A run plans every batch with ``plan_batches`` on per-batch streams chosen
+by the caller, then replays the plan; the harness rewrites deviators'
+reports between the two.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -84,12 +87,18 @@ class ScriptedPeaks:
     @classmethod
     def from_csv(cls, text: str) -> "ScriptedPeaks":
         reports: dict[tuple[int, int], float] = {}
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.lower().startswith("batch"):
                 continue
-            b, r, a = line.split(",")
-            reports[(int(b), int(r))] = float(a)
+            try:
+                b, r, a = line.split(",")
+                reports[(int(b), int(r))] = float(a)
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: expected batch,reviewer,alpha with integer ids "
+                    f"and a numeric alpha: {line!r}"
+                ) from None
         return cls(reports)
 
     def sample(self, batch: int, reviewer: int, rng: random.Random) -> float:
@@ -124,7 +133,6 @@ class QualityRanking:
 
     ordered: list[int] = field(default_factory=list)
     batches: list[BatchRecord] = field(default_factory=list)
-    elapsed_ms: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -148,6 +156,39 @@ def _batch_rng(seed: int, batch: int) -> random.Random:
     return random.Random((seed + 1) * 1_000_003 + batch)
 
 
+def plan_batches(
+    devices: Iterable[int],
+    f: int,
+    g: int,
+    peak_source,
+    batch_rng: Callable[[int], random.Random],
+) -> tuple[list[BatchScript], dict[tuple[int, int], float]]:
+    """Batch scripts until each device is ranked once, and the reviewers'
+    peaks keyed by (batch, reviewer).  Batch b draws from ``batch_rng(b)``
+    its f ranked devices, g reviewers from outside the panel (ranked
+    devices stay eligible), the panel's positions, then the peaks."""
+    devices = sorted(set(devices))
+    if f < 1 or g < 1:
+        raise ConfigError("f and g must be at least 1")
+    if f + g > len(devices):
+        raise ConfigError(f"f + g = {f + g} exceeds the {len(devices)} available devices")
+    scripts: list[BatchScript] = []
+    peaks: dict[tuple[int, int], float] = {}
+    unranked = devices
+    while unranked:
+        batch = len(scripts)
+        rng = batch_rng(batch)
+        eta = sorted(rng.sample(unranked, min(f, len(unranked))))
+        pool = [d for d in devices if d not in eta]
+        reviewers = sorted(rng.sample(pool, g))
+        positions = {d: rng.random() for d in eta}
+        for r in reviewers:
+            peaks[(batch, r)] = peak_source.sample(batch, r, rng)
+        scripts.append(BatchScript(tuple(eta), tuple(reviewers), positions))
+        unranked = [d for d in unranked if d not in eta]
+    return scripts, peaks
+
+
 def _run_batches(
     devices: Iterable[int],
     f: int,
@@ -157,37 +198,29 @@ def _run_batches(
     aggregator: Callable[[Sequence[float]], float],
     script: Sequence[BatchScript] | None,
 ) -> QualityRanking:
-    start = time.perf_counter()
     devices = sorted(set(devices))
-    if f < 1 or g < 1:
+    if script is None:
+        script, peaks = plan_batches(
+            devices, f, g, peak_source, lambda batch: _batch_rng(seed, batch)
+        )
+        peak_source = ScriptedPeaks(peaks)
+    elif f < 1 or g < 1:
         raise ConfigError("f and g must be at least 1")
-    if script is None and f + g > len(devices):
-        raise ConfigError(f"f + g = {f + g} exceeds the {len(devices)} available devices")
 
-    unranked = list(devices)
+    unranked = devices
     result = QualityRanking()
-    batch = 0
-    while unranked:
-        rng = _batch_rng(seed, batch)
-        if script is not None:
-            if batch >= len(script):
-                raise ConfigError(f"script ends before batch {batch}")
-            entry = script[batch]
-            eta = list(entry.eta)
-            reviewers = list(entry.reviewers)
-            positions = dict(entry.positions)
-            missing = set(eta) - set(unranked)
-            if missing:
-                raise ConfigError(f"scripted batch {batch} re-ranks devices {sorted(missing)}")
-            if set(reviewers) & set(eta):
-                raise ConfigError(f"scripted batch {batch} has reviewers inside the ranked panel")
-        else:
-            eta = sorted(rng.sample(unranked, min(f, len(unranked))))
-            pool = [d for d in devices if d not in eta]
-            reviewers = sorted(rng.sample(pool, g))
-            positions = {d: rng.random() for d in eta}
+    for batch, entry in enumerate(script):
+        if not unranked:
+            break
+        eta, reviewers = entry.eta, entry.reviewers
+        missing = set(eta) - set(unranked)
+        if missing:
+            raise ConfigError(f"scripted batch {batch} re-ranks devices {sorted(missing)}")
+        if set(reviewers) & set(eta):
+            raise ConfigError(f"scripted batch {batch} has reviewers inside the ranked panel")
 
-        panel = [(d, positions[d]) for d in eta]
+        panel = [(d, entry.positions[d]) for d in eta]
+        rng = _batch_rng(seed, batch)
         reports = {r: peak_source.sample(batch, r, rng) for r in reviewers}
         for r, a in reports.items():
             if not 0.0 <= a <= 1.0:
@@ -198,9 +231,8 @@ def _run_batches(
         result.ordered.append(winner)
         result.batches.append(BatchRecord(batch, panel, reports, aggregate, winner))
         unranked = [d for d in unranked if d not in eta]
-        batch += 1
-
-    result.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    if unranked:
+        raise ConfigError(f"script ends before batch {len(script)}")
     return result
 
 

@@ -31,6 +31,15 @@ def jsonable(value):
     return value
 
 
+def csv_cell(value) -> str:
+    """One CSV cell: lists and dicts as compact canonical JSON with the
+    commas turned into semicolons, anything else as its text."""
+    value = jsonable(value)
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).replace(",", ";")
+    return str(value)
+
+
 def canonical_json(payload: dict) -> str:
     return json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -53,13 +62,12 @@ class MechanismReport:
     rounds: list[RoundMetrics] = field(default_factory=list)
     budget_feasible: bool = True
     deviation_witnesses: list[dict] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
 
     def add_round(self, round_index: int, **metrics) -> None:
         self.rounds.append(RoundMetrics(round_index, dict(metrics)))
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "mechanism": self.mechanism,
             "config": self.config,
@@ -71,8 +79,6 @@ class MechanismReport:
             ],
             "deviation_witnesses": self.deviation_witnesses,
         }
-        payload.update(self.extra)
-        return payload
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
@@ -82,8 +88,5 @@ class MechanismReport:
         lines = ["round,mechanism,metric,value"]
         for r in self.rounds:
             for metric in sorted(r.metrics):
-                value = jsonable(r.metrics[metric])
-                if isinstance(value, (list, dict)):
-                    value = json.dumps(value, sort_keys=True, separators=(",", ":")).replace(",", ";")
-                lines.append(f"{r.round},{self.mechanism},{metric},{value}")
+                lines.append(f"{r.round},{self.mechanism},{metric},{csv_cell(r.metrics[metric])}")
         return "\n".join(lines) + "\n"

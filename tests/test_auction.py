@@ -93,6 +93,18 @@ class TestValuations:
         )
         assert table[0].value({0, 1, 3}) == 5
 
+    @pytest.mark.parametrize("text", [
+        "{bad",
+        '{"0": [{"subset": [0, 1]}]}',
+        '{"0": [{"value": 5}]}',
+        '{"0": [{"subset": [0], "value": "lots"}]}',
+        '{"0": 5}',
+        "[1, 2]",
+    ])
+    def test_table_from_json_malformed_is_config_error(self, text):
+        with pytest.raises(ConfigError):
+            TableValuation.from_json(text)
+
 
 class TestBruteForceDemand:
     def test_net_gain_prefers_empty_when_prices_low(self):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from crowdtier import ConfigError, ExperimentConfig, run_experiment
+from crowdtier import harness
 from crowdtier.cli import _load_costs_csv, main
 from crowdtier.harness import (
     find_avr_witness,
@@ -149,8 +150,8 @@ class TestCli:
         out8 = tmp_path / "b.json"
         base = ["experiment", "--mechanism", "psm", "--rounds", "5",
                 "--seed", "7", "--n", "20"]
-        assert main(base + ["--workers", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--workers", "8", "--out", str(out8)]) == 0
+        assert main(base + ["--out", str(out1)]) == 0
+        assert main(base + ["--out", str(out8)]) == 0
         assert out1.read_bytes() == out8.read_bytes()
 
     def test_experiment_csv_format(self, capsys):
@@ -208,3 +209,60 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: --budget must be a finite number, got {budget!r}"]
+
+    @pytest.mark.parametrize("text", [
+        "{bad", '{"0": {"x": 1}}', "[1,2]", '{"0": {"7": 3}}', '{"0": {"1": null}}',
+    ])
+    def test_bad_valuations_file_prints_one_error_line(self, capsys, tmp_path, text):
+        path = tmp_path / "vals.json"
+        path.write_text(text)
+        code = main(["wipd", "--num-tasks", "6", "--valuations", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+    def test_valuations_file_runs(self, capsys, tmp_path):
+        path = tmp_path / "vals.json"
+        path.write_text('{"0": {"0": 5, "1": 3}, "1": {"1": 4}}')
+        code = main(["wipd", "--num-tasks", "2", "--valuations", str(path)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["mechanism"] == "wipd"
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--mechanism", "psm", "--workers", "2"],
+        ["ntbfm", "--graph", "tests/data/ex6.txt", "--budget", "12", "--delta", "abc"],
+        ["psm", "--graph", "tests/data/ex6.txt", "--budget", "12", "--delta", "2"],
+    ])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestQualityExperimentDevices:
+    @pytest.fixture
+    def no_graph_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quality experiments rank devices without a graph")
+
+        monkeypatch.setattr(harness, "build_graph", refuse)
+
+    @pytest.mark.parametrize("mechanism", ["ectai", "avr"])
+    def test_synthetic_devices_draw_no_graph(self, no_graph_draw, mechanism):
+        report = run_experiment(ExperimentConfig(
+            mechanism=mechanism, synthetic_n=40, seed=3, rounds=2, deviation_frac=0.3,
+        ))
+        for r in report.rounds:
+            assert sorted(r.metrics["ordered"]) == sorted(set(r.metrics["ordered"]))
+            assert r.metrics["batches"] == 14
+
+    def test_graph_file_sets_device_count(self, no_graph_draw, ex6_paths):
+        report = run_experiment(ExperimentConfig(
+            mechanism="ectai", graph_path=ex6_paths[0], seed=3, rounds=1, f=2, g=2,
+        ))
+        assert report.rounds[0].metrics["batches"] == 3
+
+    def test_missing_graph_file_exits_1(self, capsys):
+        code = main(["experiment", "--mechanism", "ectai", "--graph", "/no/such/file"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")

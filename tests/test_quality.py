@@ -15,7 +15,7 @@ from crowdtier import (
     median_of,
     select_quality,
 )
-from crowdtier.quality import reviewer_regret
+from crowdtier.quality import _batch_rng, plan_batches, reviewer_regret
 
 # Scripted replay of the worked four-batch example: twelve devices,
 # panels of three, five reviewers per batch.
@@ -124,6 +124,38 @@ class TestScriptedReplay:
     def test_scripted_peaks_csv(self):
         peaks = ScriptedPeaks.from_csv("batch,reviewer,alpha\n0,1,0.25\n")
         assert peaks.sample(0, 1, random.Random(0)) == 0.25
+
+    @pytest.mark.parametrize("row", ["0,1", "0,1,0.2,9", "0,x,0.2", "0,1,high"])
+    def test_scripted_peaks_csv_bad_row_is_line_numbered(self, row):
+        with pytest.raises(ConfigError, match="line 3"):
+            ScriptedPeaks.from_csv(f"batch,reviewer,alpha\n0,1,0.25\n{row}\n")
+
+
+class TestPlanBatches:
+    @pytest.mark.parametrize("n,f,g", [(12, 3, 3), (20, 3, 4), (7, 5, 2), (30, 4, 9)])
+    def test_every_device_ranked_once_and_reviewers_outside_panel(self, n, f, g):
+        devices = range(100, 100 + n)
+        scripts, peaks = plan_batches(devices, f, g, UniformPeaks(),
+                                      lambda b: random.Random(f"plan:{b}"))
+        ranked = [d for entry in scripts for d in entry.eta]
+        assert sorted(ranked) == list(devices)
+        for b, entry in enumerate(scripts):
+            assert len(entry.reviewers) == g
+            assert not set(entry.reviewers) & set(entry.eta)
+            assert set(entry.positions) == set(entry.eta)
+            assert {r for bb, r in peaks if bb == b} == set(entry.reviewers)
+
+    def test_replay_of_plan_matches_unscripted_run(self):
+        scripts, peaks = plan_batches(range(20), 3, 4, NormalPeaks(),
+                                      lambda b: _batch_rng(5, b))
+        replayed = ectai_run(range(20), 3, 4, ScriptedPeaks(peaks), script=scripts)
+        direct = ectai_run(range(20), 3, 4, NormalPeaks(), seed=5)
+        assert replayed.to_dict() == direct.to_dict()
+
+    def test_f_plus_g_beyond_population_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            plan_batches(range(5), 3, 3, UniformPeaks(), random.Random)
+        assert str(exc.value) == "f + g = 6 exceeds the 5 available devices"
 
 
 class TestGeneratedRuns:
