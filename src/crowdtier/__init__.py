@@ -35,7 +35,13 @@ from .estimators import (
     monte_carlo_notified,
     tail_at,
 )
-from .graph import CoverageOracle, SocialGraph, build_graph, load_edge_list
+from .graph import (
+    CoverageOracle,
+    SocialGraph,
+    build_graph,
+    load_edge_list,
+    parse_edge_list,
+)
 from .harness import ExperimentConfig, run_experiment, synthetic_graph
 from .notifier import (
     NotifierOutcome,
@@ -105,6 +111,7 @@ __all__ = [
     "notifier_utility",
     "npm_prices",
     "ntbfm",
+    "parse_edge_list",
     "psm",
     "run_experiment",
     "select_quality",

@@ -240,13 +240,15 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    cost_lo, cost_hi = _parse_range(args.cost_range)
+    val_lo, val_hi = _parse_range(args.val_range)
     config = ExperimentConfig(
         mechanism=args.mechanism,
         graph_path=args.graph,
         synthetic_n=args.n,
         edge_prob=args.edge_prob,
-        cost_lo=_parse_range(args.cost_range)[0],
-        cost_hi=_parse_range(args.cost_range)[1],
+        cost_lo=cost_lo,
+        cost_hi=cost_hi,
         budget=_number(args.budget, "--budget"),
         delta=_number(args.delta, "--delta"),
         epsilon=_number(args.epsilon, "--epsilon"),
@@ -261,8 +263,8 @@ def _cmd_experiment(args) -> int:
         g=args.g,
         num_tasks=args.num_tasks,
         num_bidders=args.bidders,
-        val_lo=_parse_range(args.val_range)[0],
-        val_hi=_parse_range(args.val_range)[1],
+        val_lo=val_lo,
+        val_hi=val_hi,
     )
     report = harness.run_experiment(config)
     _write(report.to_json() if args.format == "json" else report.to_csv(), args)

@@ -8,9 +8,9 @@ probability p; X is the number of neighbors reached.
 from __future__ import annotations
 
 import math
+import random
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .graph import SocialGraph
@@ -86,8 +86,8 @@ def monte_carlo_notified(
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p}")
     degree = graph.degree(node)
-    rng = np.random.default_rng(seed)
-    counts = rng.binomial(degree, p, size=trials)
-    mean = float(counts.mean())
-    stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    rng = random.Random(seed)
+    counts = [sum(rng.random() < p for _ in range(degree)) for _ in range(trials)]
+    mean = statistics.fmean(counts)
+    stderr = statistics.stdev(counts) / math.sqrt(trials) if trials > 1 else 0.0
     return mean, stderr

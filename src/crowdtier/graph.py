@@ -9,7 +9,6 @@ marginal-gain queries are single big-int operations.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -83,25 +82,20 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> SocialGraph:
     return SocialGraph(n=n, masks=tuple(masks), id_map={i: i for i in range(n)})
 
 
-def load_edge_list(source) -> SocialGraph:
-    """Parse a whitespace-delimited "u v" edge list into a SocialGraph.
+def load_edge_list(path) -> SocialGraph:
+    """Read the edge-list file at ``path`` (see :func:`parse_edge_list`)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_edge_list(fh.read())
 
-    Accepts a path, a text/byte stream, or a string.  Lines starting with
-    '#' are comments.  Node labels are arbitrary integers and are
-    re-indexed densely in order of first appearance; self-loops are
-    dropped and duplicate edges collapse.  Empty input yields the empty
-    graph.
+
+def parse_edge_list(text: str) -> SocialGraph:
+    """Parse whitespace-delimited "u v" edge-list text into a SocialGraph.
+
+    Lines starting with '#' are comments.  Node labels are arbitrary
+    integers and are re-indexed densely in order of first appearance;
+    self-loops are dropped and duplicate edges collapse.  Empty input
+    yields the empty graph.
     """
-    if isinstance(source, (str,)) and "\n" not in source and source.strip() and _looks_like_path(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh)
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    elif isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-
     id_map: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
 
@@ -110,7 +104,7 @@ def load_edge_list(source) -> SocialGraph:
             id_map[label] = len(id_map)
         return id_map[label]
 
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -128,12 +122,6 @@ def load_edge_list(source) -> SocialGraph:
     n = len(id_map)
     graph = build_graph(n, edges)
     return SocialGraph(n=n, masks=graph.masks, id_map=dict(id_map))
-
-
-def _looks_like_path(s: str) -> bool:
-    import os
-
-    return os.path.exists(s)
 
 
 class CoverageOracle:

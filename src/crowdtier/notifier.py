@@ -60,7 +60,6 @@ class NotifierOutcome:
     notified: frozenset[int]
     payments: dict[int, Fraction]
     budget: Fraction
-    delta: Fraction | None = None
 
     @property
     def total_payment(self) -> Fraction:
@@ -305,7 +304,6 @@ def tenm_run(
         notified=notified,
         payments=payments,
         budget=as_fraction(budget),
-        delta=as_fraction(delta),
     )
     outcome.check(costs={i: as_fraction(costs[i]) for i in selected})
     return outcome

@@ -179,13 +179,14 @@ def plan_batches(
         batch = len(scripts)
         rng = batch_rng(batch)
         eta = sorted(rng.sample(unranked, min(f, len(unranked))))
-        pool = [d for d in devices if d not in eta]
+        chosen = set(eta)
+        pool = [d for d in devices if d not in chosen]
         reviewers = sorted(rng.sample(pool, g))
         positions = {d: rng.random() for d in eta}
         for r in reviewers:
             peaks[(batch, r)] = peak_source.sample(batch, r, rng)
         scripts.append(BatchScript(tuple(eta), tuple(reviewers), positions))
-        unranked = [d for d in unranked if d not in eta]
+        unranked = [d for d in unranked if d not in chosen]
     return scripts, peaks
 
 
@@ -207,13 +208,13 @@ def _run_batches(
     elif f < 1 or g < 1:
         raise ConfigError("f and g must be at least 1")
 
-    unranked = devices
+    unranked = set(devices)
     result = QualityRanking()
     for batch, entry in enumerate(script):
         if not unranked:
             break
         eta, reviewers = entry.eta, entry.reviewers
-        missing = set(eta) - set(unranked)
+        missing = set(eta) - unranked
         if missing:
             raise ConfigError(f"scripted batch {batch} re-ranks devices {sorted(missing)}")
         if set(reviewers) & set(eta):
@@ -230,7 +231,7 @@ def _run_batches(
 
         result.ordered.append(winner)
         result.batches.append(BatchRecord(batch, panel, reports, aggregate, winner))
-        unranked = [d for d in unranked if d not in eta]
+        unranked.difference_update(eta)
     if unranked:
         raise ConfigError(f"script ends before batch {len(script)}")
     return result

@@ -11,7 +11,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from crowdtier import (

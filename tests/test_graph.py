@@ -1,4 +1,3 @@
-import io
 import itertools
 import random
 
@@ -10,6 +9,7 @@ from crowdtier import (
     GraphParseError,
     build_graph,
     load_edge_list,
+    parse_edge_list,
 )
 
 
@@ -31,62 +31,60 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4):
     return graph, adj
 
 
-class TestLoadEdgeList:
+class TestParseEdgeList:
     def test_two_edge_path(self):
-        g = load_edge_list("# c\n0 1\n1 2")
+        g = parse_edge_list("# c\n0 1\n1 2")
         assert g.n == 3
         assert g.num_edges == 2
         assert g.neighbors(1) == {0, 2}
 
     def test_dedup_and_symmetry(self):
-        g = load_edge_list("0 1\n1 0\n0 1")
+        g = parse_edge_list("0 1\n1 0\n0 1")
         assert g.num_edges == 1
         assert g.neighbors(0) == {1}
         assert g.neighbors(1) == {0}
 
     def test_empty_input_is_empty_graph(self):
-        g = load_edge_list("")
+        g = parse_edge_list("")
         assert g.n == 0
         assert g.num_edges == 0
 
     def test_comment_only_input(self):
-        g = load_edge_list("# nothing\n  \n")
+        g = parse_edge_list("# nothing\n  \n")
         assert g.n == 0
 
     def test_dense_reindex_first_appearance(self):
-        g = load_edge_list("10 30\n30 20")
+        g = parse_edge_list("10 30\n30 20")
         assert g.id_map == {10: 0, 30: 1, 20: 2}
         assert g.neighbors(1) == {0, 2}
 
     def test_self_loop_dropped(self):
-        g = load_edge_list("0 0\n0 1")
+        g = parse_edge_list("0 0\n0 1")
         assert g.num_edges == 1
         assert g.neighbors(0) == {1}
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(GraphParseError) as exc:
-            load_edge_list("0 1\n0 1 2")
+            parse_edge_list("0 1\n0 1 2")
         assert exc.value.line_number == 2
 
     def test_non_integer_label(self):
         with pytest.raises(GraphParseError):
-            load_edge_list("a b")
+            parse_edge_list("a b")
 
     def test_negative_label(self):
         with pytest.raises(GraphParseError):
-            load_edge_list("-1 0")
-
-    def test_stream_and_bytes_sources(self):
-        for source in (io.StringIO("0 1"), b"0 1"):
-            assert load_edge_list(source).num_edges == 1
+            parse_edge_list("-1 0")
 
     def test_path_source(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("0 1\n1 2\n")
         assert load_edge_list(str(p)).n == 3
+        with pytest.raises(FileNotFoundError):
+            load_edge_list(str(tmp_path / "3 4"))
 
     def test_id_map_csv(self):
-        g = load_edge_list("7 9")
+        g = parse_edge_list("7 9")
         assert g.id_map_csv() == "original_id,dense_id\n7,0\n9,1\n"
 
     def test_loaded_symmetry_exhaustive(self):

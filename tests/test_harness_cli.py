@@ -138,6 +138,14 @@ class TestCli:
     def test_missing_graph_file_exits_1(self, capsys):
         assert main(["graph-info", "--graph", "/no/such/file"]) == 1
 
+    def test_graph_flag_is_never_edge_text(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["graph-info", "--graph", "3 4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_bad_cost_range_exits_1(self, capsys, ex6_paths):
         code = main([
             "tenm", "--graph", ex6_paths[0], "--budget", "10",
