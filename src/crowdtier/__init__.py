@@ -36,7 +36,6 @@ from .estimators import (
     tail_at,
 )
 from .graph import (
-    CoverageOracle,
     SocialGraph,
     build_graph,
     load_edge_list,
@@ -74,7 +73,6 @@ __all__ = [
     "BatchScript",
     "BruteForceOracle",
     "ConfigError",
-    "CoverageOracle",
     "CrowdtierError",
     "DomainError",
     "ExperimentConfig",

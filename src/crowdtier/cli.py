@@ -271,10 +271,11 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _add_output_flags(p: _Parser) -> None:
+def _add_output_flags(p: _Parser, seed: bool = True) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> _Parser:
@@ -283,7 +284,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("graph-info", help="summarize an edge-list graph")
     p.add_argument("--graph", required=True)
-    _add_output_flags(p)
+    _add_output_flags(p, seed=False)
     p.set_defaults(func=_cmd_graph_info)
 
     for name, desc in (
@@ -342,7 +343,7 @@ def build_parser() -> _Parser:
         choices=("expected", "at-least-one", "chernoff", "lemma1"),
         default="expected",
     )
-    _add_output_flags(p)
+    _add_output_flags(p, seed=False)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("experiment", help="multi-round experiment harness")
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     except CrowdtierError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -1,4 +1,4 @@
-"""Undirected social graphs and the coverage ("notify") oracle.
+"""Undirected social graphs and their coverage function h(S).
 
 A node's neighborhood is the set of devices it can notify.  The coverage
 value of a set S is the size of the union of the neighborhoods of S; a
@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphParseError
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,7 @@ class SocialGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(_popcount(m) for m in self.masks) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def neighbors(self, i: int) -> frozenset[int]:
         self._check(i)
@@ -48,18 +44,35 @@ class SocialGraph:
 
     def degree(self, i: int) -> int:
         self._check(i)
-        return _popcount(self.masks[i])
+        return self.masks[i].bit_count()
 
     def _check(self, i) -> None:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.n:
             raise DomainError(f"unknown node id {i!r} (graph has {self.n} nodes)")
 
-    def id_map_csv(self) -> str:
-        """Export the original->dense id map as CSV text."""
-        lines = ["original_id,dense_id"]
-        for orig, dense in sorted(self.id_map.items(), key=lambda kv: kv[1]):
-            lines.append(f"{orig},{dense}")
-        return "\n".join(lines) + "\n"
+    def _union(self, nodes: Iterable[int]) -> int:
+        mask = 0
+        for i in nodes:
+            self._check(i)
+            mask |= self.masks[i]
+        return mask
+
+    def coverage(self, nodes: Iterable[int]) -> int:
+        """h(S) = size of the union of the neighborhoods of S."""
+        return self._union(nodes).bit_count()
+
+    def covered(self, nodes: Iterable[int]) -> frozenset[int]:
+        """The nodes notified by S: the union of their neighborhoods."""
+        return frozenset(_bits(self._union(nodes)))
+
+    def marginal(self, j: int, nodes: Iterable[int]) -> int:
+        """h(S + j) - h(S).  Requires j not in S."""
+        nodes = list(nodes)
+        if j in nodes:
+            raise DomainError(f"marginal query with {j} already in the set")
+        base = self._union(nodes)
+        self._check(j)
+        return (self.masks[j] & ~base).bit_count()
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -122,87 +135,3 @@ def parse_edge_list(text: str) -> SocialGraph:
     n = len(id_map)
     graph = build_graph(n, edges)
     return SocialGraph(n=n, masks=graph.masks, id_map=dict(id_map))
-
-
-class CoverageOracle:
-    """Coverage queries over a SocialGraph, optionally with a node
-    excluded from candidacy.
-
-    ``without_node(j)`` returns a view in which j can no longer be
-    selected but remains notifiable: the payment rerun drags the winner
-    out of the market as a bidder while the remaining candidates still
-    get coverage credit for notifying it.  Instances are immutable and
-    safe to share; incremental covered-set state lives in
-    :class:`CoverageSession` objects created per query session.
-    """
-
-    def __init__(self, graph: SocialGraph, excluded: int | None = None):
-        self.graph = graph
-        self.excluded = excluded
-        if excluded is not None:
-            graph._check(excluded)
-        self._masks = graph.masks
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def without_node(self, j: int) -> "CoverageOracle":
-        if self.excluded is not None:
-            raise DomainError("oracle already has an excluded node")
-        return CoverageOracle(self.graph, excluded=j)
-
-    def candidates(self) -> list[int]:
-        """Node ids eligible for selection under this oracle."""
-        return [i for i in range(self.n) if i != self.excluded]
-
-    def union_mask(self, nodes: Iterable[int]) -> int:
-        mask = 0
-        for i in nodes:
-            self.graph._check(i)
-            if i == self.excluded:
-                raise DomainError(f"node {i} is excluded from this oracle")
-            mask |= self._masks[i]
-        return mask
-
-    def coverage(self, nodes: Iterable[int]) -> int:
-        """h(S) = size of the union of the neighborhoods of S."""
-        return _popcount(self.union_mask(nodes))
-
-    def covered(self, nodes: Iterable[int]) -> frozenset[int]:
-        return frozenset(_bits(self.union_mask(nodes)))
-
-    def marginal(self, j: int, nodes: Iterable[int]) -> int:
-        """h(S + j) - h(S).  Requires j not in S."""
-        nodes = list(nodes)
-        if j in nodes:
-            raise DomainError(f"marginal query with {j} already in the set")
-        base = self.union_mask(nodes)
-        self.graph._check(j)
-        if j == self.excluded:
-            raise DomainError(f"node {j} is excluded from this oracle")
-        return _popcount(self._masks[j] & ~base)
-
-    def session(self) -> "CoverageSession":
-        return CoverageSession(self)
-
-
-class CoverageSession:
-    """Mutable covered-set accumulator for one greedy run.
-
-    Never shared between independent mechanism runs.
-    """
-
-    def __init__(self, oracle: CoverageOracle):
-        self._masks = oracle._masks
-        self.mask = 0
-
-    @property
-    def value(self) -> int:
-        return _popcount(self.mask)
-
-    def gain(self, j: int) -> int:
-        return _popcount(self._masks[j] & ~self.mask)
-
-    def add(self, j: int) -> None:
-        self.mask |= self._masks[j]

@@ -228,7 +228,7 @@ def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> 
     deviator_regrets = []
     for record in ranking.batches:
         for rev in record.reports:
-            regret = abs(true_peaks[(record.index, rev)] - record.aggregate)
+            regret = quality.reviewer_regret(true_peaks[(record.index, rev)], record.aggregate)
             (deviator_regrets if rev in deviators else regrets).append(regret)
     return {
         "ordered": list(ranking.ordered),

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConfigError, DomainError, InvariantError
-from .graph import CoverageOracle, SocialGraph
+from .graph import SocialGraph
 
 Numeric = int | float | Fraction
 
@@ -223,7 +223,7 @@ def nam_select(
         _argmax_order(graph.masks, weights, heap), scaled, budget / delta, scale
     )
     selected = [i for i, _, _, _ in positions][:-1]
-    return selected, CoverageOracle(graph).covered(selected)
+    return selected, graph.covered(selected)
 
 
 def npm_prices(
@@ -295,7 +295,13 @@ def tenm_run(
     budget: Numeric,
     delta: Numeric = 2,
 ) -> NotifierOutcome:
-    """Full tier-1 mechanism: greedy allocation followed by threshold payments."""
+    """Full tier-1 mechanism: greedy allocation followed by threshold payments.
+
+    Requires delta >= 1: a winner is paid at least its cost only when the
+    damped selection share B / delta is at most the payment rule's B.
+    """
+    if as_fraction(delta) < 1:
+        raise ConfigError(f"delta must be at least 1 for tenm, got {as_fraction(delta)}")
     selected, notified = nam_select(graph, costs, budget, delta)
     payments = npm_prices(graph, costs, budget, selected)
     outcome = NotifierOutcome(
@@ -321,7 +327,6 @@ def ntbfm(
     if graph.n == 0:
         return NotifierOutcome("ntbfm", [], frozenset(), {}, budget)
     cost = _cost_map(graph.n, costs)
-    oracle = CoverageOracle(graph)
 
     order = sorted(range(graph.n), key=lambda i: (Fraction(-graph.degree(i), cost[i]), i))
     selected: list[int] = []
@@ -336,7 +341,7 @@ def ntbfm(
     outcome = NotifierOutcome(
         mechanism="ntbfm",
         selected=selected,
-        notified=oracle.covered(selected),
+        notified=graph.covered(selected),
         payments=payments,
         budget=budget,
     )
@@ -378,7 +383,7 @@ def psm(
         payments = {i: pay for i in winners}
 
     if graph is not None:
-        notified = CoverageOracle(graph).covered(winners)
+        notified = graph.covered(winners)
     else:
         notified = frozenset()
     outcome = NotifierOutcome(

@@ -2,8 +2,8 @@
 
 This is the straightforward implementation the package shipped before its
 integer-keyed, prefix-shared rewrite: ``Fraction`` heap keys, and one full
-greedy rerun per winner on a :class:`CoverageOracle` view that excludes
-that winner.  The differential tests compare the package against it.
+greedy rerun per winner with that winner excluded from candidacy.  The
+differential tests compare the package against it.
 """
 
 from __future__ import annotations
@@ -13,12 +13,15 @@ from fractions import Fraction
 from typing import Mapping
 
 from crowdtier.errors import ConfigError
-from crowdtier.graph import CoverageOracle, SocialGraph
+from crowdtier.graph import SocialGraph
 from crowdtier.notifier import Numeric, _cost_map, as_fraction
 
 
-def _lazy_greedy(oracle: CoverageOracle, costs: Mapping[int, Fraction], accept):
-    """Marginal-per-cost greedy over the oracle's candidates.
+def _lazy_greedy(
+    graph: SocialGraph, excluded: int | None, costs: Mapping[int, Fraction], accept
+):
+    """Marginal-per-cost greedy over every node but ``excluded``, which
+    stays notifiable.
 
     ``accept(node, marginal, covered_value)`` decides admission of the
     current argmax; the first rejected argmax ends the run and is
@@ -27,22 +30,24 @@ def _lazy_greedy(oracle: CoverageOracle, costs: Mapping[int, Fraction], accept):
     list of (node, marginal_at_selection) and first_loser is
     (node, marginal) or None when candidates ran out.
     """
-    session = oracle.session()
+    masks = graph.masks
+    covered = 0
     heap = []
-    for i in oracle.candidates():
-        m = session.gain(i)
-        heapq.heappush(heap, (Fraction(-m, costs[i]), i, m))
+    for i in range(graph.n):
+        if i != excluded:
+            m = masks[i].bit_count()
+            heapq.heappush(heap, (Fraction(-m, costs[i]), i, m))
 
     selections: list[tuple[int, int]] = []
     while heap:
         key, i, scored = heapq.heappop(heap)
-        m = session.gain(i)
+        m = (masks[i] & ~covered).bit_count()
         if m != scored:
             heapq.heappush(heap, (Fraction(-m, costs[i]), i, m))
             continue
-        if accept(i, m, session.value):
+        if accept(i, m, covered.bit_count()):
             selections.append((i, m))
-            session.add(i)
+            covered |= masks[i]
         else:
             return selections, (i, m)
     return selections, None
@@ -72,7 +77,6 @@ def nam_select(
         return [], frozenset()
 
     cost = _cost_map(graph.n, costs)
-    oracle = CoverageOracle(graph)
     share = budget / delta
 
     def accept(i: int, marginal: int, covered: int) -> bool:
@@ -80,13 +84,13 @@ def nam_select(
             return False
         return cost[i] <= share * Fraction(marginal, covered + marginal)
 
-    selections, _ = _lazy_greedy(oracle, cost, accept)
+    selections, _ = _lazy_greedy(graph, None, cost, accept)
     selected = [i for i, _ in selections]
-    return selected, oracle.covered(selected)
+    return selected, graph.covered(selected)
 
 
 def _payment_rerun(
-    oracle: CoverageOracle, cost: Mapping[int, Fraction], budget: Fraction, winner: int
+    graph: SocialGraph, cost: Mapping[int, Fraction], budget: Fraction, winner: int
 ):
     """Greedy rerun with the winner excluded from candidacy (it stays
     notifiable, so competitors keep coverage credit for reaching it).
@@ -96,14 +100,12 @@ def _payment_rerun(
     the rerun's selections followed by the first loser (when one exists),
     plus the rerun's selection order.
     """
-    restricted = oracle.without_node(winner)
-
     def accept(i: int, marginal: int, covered: int) -> bool:
         if marginal == 0:
             return False
         return cost[i] / budget <= Fraction(marginal, marginal + covered)
 
-    selections, loser = _lazy_greedy(restricted, cost, accept)
+    selections, loser = _lazy_greedy(graph, winner, cost, accept)
     refs = [(cost[i], m) for i, m in selections]
     if loser is not None:
         refs.append((cost[loser[0]], loser[1]))
@@ -130,18 +132,18 @@ def npm_prices(
     cost = _cost_map(graph.n, costs)
     for j in selected:
         graph._check(j)
-    oracle = CoverageOracle(graph)
+    masks = graph.masks
 
     payments: dict[int, Fraction] = {}
     for j in selected:
-        refs, order = _payment_rerun(oracle, cost, budget, j)
+        refs, order = _payment_rerun(graph, cost, budget, j)
 
         best = Fraction(0)
-        session = oracle.session()  # accumulates T_{k-1} in the full graph
+        covered = 0  # accumulates T_{k-1} in the full graph
         for k in range(len(order) + 1):
-            h_jk = session.gain(j)
+            h_jk = (masks[j] & ~covered).bit_count()
             if h_jk > 0:
-                rho = budget * Fraction(h_jk, session.value + h_jk)
+                rho = budget * Fraction(h_jk, covered.bit_count() + h_jk)
                 if k < len(refs):
                     c_k, ref_marginal = refs[k]
                     # ref_marginal == 0 leaves the positional cost unbounded,
@@ -155,6 +157,6 @@ def npm_prices(
                     candidate = rho
                 best = max(best, candidate)
             if k < len(order):
-                session.add(order[k])
+                covered |= masks[order[k]]
         payments[j] = best
     return payments

@@ -16,7 +16,6 @@ import pytest
 from crowdtier import (
     AdditiveValuation,
     BruteForceOracle,
-    CoverageOracle,
     NotifyModel,
     ScriptedOracle,
     at_least_one,
@@ -77,16 +76,15 @@ def random_graph(rng: random.Random, n: int, p: float):
 
 def test_criterion_01_worked_example_fidelity(ex6):
     graph, costs, budget, to_dense, to_label = ex6
-    oracle = CoverageOracle(graph)
     # Precondition: the fixture reproduces every printed marginal table.
     tables_ok = (
-        {lbl: oracle.coverage([to_dense[lbl]]) for lbl in range(1, 7)}
+        {lbl: graph.coverage([to_dense[lbl]]) for lbl in range(1, 7)}
         == {1: 4, 2: 3, 3: 4, 4: 3, 5: 3, 6: 3}
-        and {lbl: oracle.marginal(to_dense[lbl], [to_dense[1]])
+        and {lbl: graph.marginal(to_dense[lbl], [to_dense[1]])
              for lbl in (2, 3, 4, 5, 6)}
         == {2: 2, 3: 0, 4: 2, 5: 2, 6: 2}
         and all(
-            oracle.marginal(to_dense[lbl], [to_dense[1], to_dense[6]]) == 0
+            graph.marginal(to_dense[lbl], [to_dense[1], to_dense[6]]) == 0
             for lbl in (2, 3, 4, 5)
         )
     )

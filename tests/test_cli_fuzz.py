@@ -1,0 +1,108 @@
+"""Malformed CLI input.
+
+Every case must exit 1 and write exactly one stderr line starting
+``error:`` (argparse may add its usage lines), with nothing on stdout.
+``main`` runs in process, so an exception that would print a traceback
+escapes it and fails the case.  ``{graph}`` and ``{costs}`` stand for the
+six-device example files; other file names are written into the case's
+working directory from ``FILES``.
+"""
+
+import pathlib
+
+import pytest
+
+from crowdtier.cli import main
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+FILES = {
+    # Starts like a UTF-16 byte-order mark; not valid UTF-8.
+    "not_utf8": b"\xff\xfe\x00\x01 2\n",
+    "graph_three_fields.txt": b"0 1\n1 2 3\n",
+    "graph_label.txt": b"a b\n",
+    "graph_negative.txt": b"-1 0\n",
+    "costs_one_field.csv": b"node_id,cost\n1,2\n2\n",
+    "costs_text.csv": b"node_id,cost\n1,x\n",
+    "costs_nan.csv": b"node_id,cost\n1,nan\n",
+    "costs_zero.csv": b"1,0\n2,4\n3,2\n4,5\n5,3\n6,2\n",
+    "costs_missing_node.csv": b"node_id,cost\n1,2\n",
+    "vals_json.json": b"{bad",
+    "vals_list.json": b"[1, 2]",
+    "vals_task_range.json": b'{"0": {"7": 3}}',
+    "vals_null.json": b'{"0": {"1": null}}',
+}
+
+TIER1 = "tenm --graph {graph} --budget 12"
+
+CASES = [
+    # Input files that are not UTF-8.
+    "graph-info --graph not_utf8",
+    "tenm --graph {graph} --budget 12 --costs not_utf8",
+    "wipd --valuations not_utf8",
+    "experiment --mechanism tenm --graph not_utf8",
+    # tenm needs delta >= 1.
+    "tenm --graph {graph} --budget 12 --costs {costs} --delta 1/2",
+    "tenm --graph {graph} --budget 9 --cost-range 1:5 --delta 1/2 --seed 17",
+    "experiment --mechanism tenm --delta 1/2 --n 30 --rounds 3 --seed 7",
+    # Malformed graph, cost and valuation files.
+    "graph-info --graph graph_three_fields.txt",
+    "graph-info --graph graph_label.txt",
+    "ntbfm --graph graph_negative.txt --budget 12",
+    TIER1 + " --costs costs_one_field.csv",
+    TIER1 + " --costs costs_text.csv",
+    TIER1 + " --costs costs_nan.csv",
+    TIER1 + " --costs costs_zero.csv",
+    "psm --graph {graph} --budget 12 --costs costs_missing_node.csv",
+    "wipd --valuations vals_json.json",
+    "wipd --valuations vals_list.json",
+    "wipd --valuations vals_task_range.json",
+    "wipd --valuations vals_null.json",
+    # Missing --graph: the flag, or the file it names.
+    "tenm --budget 12",
+    "graph-info --graph no_such_file",
+    "experiment --mechanism psm --graph no_such_file",
+    # Bad numbers and ranges.
+    "tenm --graph {graph} --budget abc",
+    "tenm --graph {graph} --budget nan",
+    "tenm --graph {graph} --budget 0",
+    "psm --graph {graph} --budget -3",
+    TIER1 + " --delta abc",
+    TIER1 + " --delta 0",
+    TIER1 + " --delta inf",
+    "experiment --mechanism tenm --delta -1",
+    "wipd --epsilon abc",
+    "wipd --epsilon 0",
+    "experiment --mechanism wipd --epsilon -1",
+    TIER1 + " --cost-range 50:20",
+    TIER1 + " --cost-range a:b",
+    TIER1 + " --cost-range 0:5",
+    "experiment --mechanism ntbfm --cost-range 5",
+    "wipd --val-range 9:1",
+    "greedy --val-range x",
+    "experiment --mechanism greedy --val-range 0:3",
+    # Instances the mechanisms cannot run.
+    "ectai --devices 5 --f 3 --g 3",
+    "wipd --num-tasks 30",
+    # Flags these subcommands do not have.
+    "graph-info --graph {graph} --seed 3",
+    "estimate --degree 4 --seed 1",
+]
+
+
+@pytest.mark.parametrize("line", CASES)
+def test_malformed_input_is_one_error_line(line, tmp_path, capsys, monkeypatch):
+    for name, data in FILES.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    argv = [
+        arg.format(graph=DATA / "ex6.txt", costs=DATA / "ex6_costs.csv")
+        for arg in line.split()
+    ]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [row for row in captured.err.splitlines() if row.startswith("error:")]
+    assert len(errors) == 1, captured.err

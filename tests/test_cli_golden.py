@@ -34,7 +34,7 @@ GOLDEN = {
     "tenm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv --delta 3":
         "e318c41612fbcf027670dee7f249736ac46c401e128afe04f90f87b18baff3cb",
     "tenm --graph tests/data/ex6.txt --budget 9 --cost-range 1:5 --delta 1/2 --seed 17":
-        "7f6b45ee1af75505a2027fc7be54a5f73b31e77db3f2ba2f7e26b37b7faefb85",
+        "54e8935896540f20da067fb90b0a7e88b78f39231c2d37b2991090b42be45f0f",
     "tenm --graph tests/data/ex6.txt --budget 12 --cost-range 50:20":
         "c7c3c900f2c816d65fd8cd48080f7c4d7981587c900bd25e8f0148ff75f62619",
     "ectai --devices 12 --f 3 --g 3 --seed 0":
@@ -196,7 +196,7 @@ GOLDEN = {
     "tenm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv --delta 3 --format csv":
         "66f051d32d6127d7653f25aedb4d764d188fb30a5225ba3194bfdee487d6a5c5",
     "tenm --graph tests/data/ex6.txt --budget 9 --cost-range 1:5 --delta 1/2 --seed 17 --format csv":
-        "d2c6179a346b4e852236a9c00ead72402ec60d093d3b0d289eeddd1da841452a",
+        "54e8935896540f20da067fb90b0a7e88b78f39231c2d37b2991090b42be45f0f",
     "tenm --graph tests/data/ex6.txt --budget 12 --cost-range 50:20 --format csv":
         "c7c3c900f2c816d65fd8cd48080f7c4d7981587c900bd25e8f0148ff75f62619",
     "ectai --devices 12 --f 3 --g 3 --seed 0 --format csv":

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from crowdtier import (
-    CoverageOracle,
     DomainError,
     GraphParseError,
     build_graph,
@@ -83,10 +82,6 @@ class TestParseEdgeList:
         with pytest.raises(FileNotFoundError):
             load_edge_list(str(tmp_path / "3 4"))
 
-    def test_id_map_csv(self):
-        g = parse_edge_list("7 9")
-        assert g.id_map_csv() == "original_id,dense_id\n7,0\n9,1\n"
-
     def test_loaded_symmetry_exhaustive(self):
         rng = random.Random(5)
         g, _ = random_graph(rng, 9)
@@ -98,54 +93,49 @@ class TestParseEdgeList:
 class TestCoverage:
     def test_empty_set_zero(self, ex6):
         graph, *_ = ex6
-        assert CoverageOracle(graph).coverage([]) == 0
+        assert graph.coverage([]) == 0
 
     def test_ex6_singletons(self, ex6):
         graph, _, _, to_dense, _ = ex6
-        oracle = CoverageOracle(graph)
         # Degrees from the printed first table: h({I_i}) for i=1..6.
         expected = {1: 4, 2: 3, 3: 4, 4: 3, 5: 3, 6: 3}
         for label, h in expected.items():
-            assert oracle.coverage([to_dense[label]]) == h
+            assert graph.coverage([to_dense[label]]) == h
 
     def test_ex6_marginals_given_i1(self, ex6):
         graph, _, _, to_dense, _ = ex6
-        oracle = CoverageOracle(graph)
         s = [to_dense[1]]
         expected = {2: 2, 3: 0, 4: 2, 5: 2, 6: 2}
         for label, m in expected.items():
-            assert oracle.marginal(to_dense[label], s) == m
+            assert graph.marginal(to_dense[label], s) == m
 
     def test_ex6_full_selection_covers_all(self, ex6):
         graph, _, _, to_dense, _ = ex6
-        oracle = CoverageOracle(graph)
-        assert oracle.coverage([to_dense[1], to_dense[6]]) == 6
+        assert graph.coverage([to_dense[1], to_dense[6]]) == 6
 
     def test_unknown_node_rejected(self, ex6):
         graph, *_ = ex6
         with pytest.raises(DomainError):
-            CoverageOracle(graph).coverage([99])
+            graph.coverage([99])
 
     def test_marginal_rejects_member(self, ex6):
         graph, *_ = ex6
         with pytest.raises(DomainError):
-            CoverageOracle(graph).marginal(0, [0])
+            graph.marginal(0, [0])
 
     def test_matches_naive_union(self):
         rng = random.Random(11)
         for _ in range(30):
             n = rng.randint(1, 10)
             graph, adj = random_graph(rng, n)
-            oracle = CoverageOracle(graph)
             s = rng.sample(range(n), rng.randint(0, n))
-            assert oracle.coverage(s) == naive_coverage(adj, s)
+            assert graph.coverage(s) == naive_coverage(adj, s)
 
     def test_monotone_and_submodular_exhaustive(self):
         rng = random.Random(23)
         for _ in range(8):
             n = rng.randint(2, 7)
             graph, adj = random_graph(rng, n)
-            oracle = CoverageOracle(graph)
             universe = list(range(n))
             subsets = [
                 frozenset(c)
@@ -155,40 +145,19 @@ class TestCoverage:
             for h in subsets:
                 for j in subsets:
                     if h <= j:
-                        assert oracle.coverage(h) <= oracle.coverage(j)
+                        assert graph.coverage(h) <= graph.coverage(j)
                         for i in universe:
                             if i not in j:
-                                assert oracle.marginal(i, h) >= oracle.marginal(i, j)
+                                assert graph.marginal(i, h) >= graph.marginal(i, j)
 
     def test_marginal_identity(self):
         rng = random.Random(31)
         for _ in range(40):
             n = rng.randint(2, 10)
             graph, _ = random_graph(rng, n)
-            oracle = CoverageOracle(graph)
             s = rng.sample(range(n), rng.randint(0, n - 1))
             j = rng.choice([i for i in range(n) if i not in s])
-            assert oracle.marginal(j, s) == oracle.coverage(list(s) + [j]) - oracle.coverage(s)
-
-    def test_without_node_removes_candidacy_only(self, ex6):
-        graph, _, _, to_dense, _ = ex6
-        restricted = CoverageOracle(graph).without_node(to_dense[1])
-        assert to_dense[1] not in restricted.candidates()
-        with pytest.raises(DomainError):
-            restricted.coverage([to_dense[1]])
-        # The excluded node stays notifiable: its neighbors still get
-        # coverage credit for reaching it.
-        assert restricted.coverage(restricted.candidates()) == 6
-
-    def test_session_matches_marginal(self, ex6):
-        graph, *_ = ex6
-        oracle = CoverageOracle(graph)
-        session = oracle.session()
-        acc = []
-        for j in range(graph.n):
-            assert session.gain(j) == oracle.marginal(j, acc)
-            session.add(j)
-            acc.append(j)
+            assert graph.marginal(j, s) == graph.coverage(list(s) + [j]) - graph.coverage(s)
 
     def test_build_graph_rejects_out_of_range(self):
         with pytest.raises(DomainError):
