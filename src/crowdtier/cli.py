@@ -44,6 +44,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _number(text: str, flag: str) -> Fraction:
     try:
         return as_fraction(text)
@@ -317,19 +328,19 @@ def build_parser() -> _Parser:
         p.set_defaults(func=_cmd_quality)
 
     p = sub.add_parser("wipd", help="ascending epsilon-increment task auction")
-    p.add_argument("--num-tasks", type=int, default=6)
-    p.add_argument("--bidders", type=int, default=3)
+    p.add_argument("--num-tasks", type=_positive_int, default=6)
+    p.add_argument("--bidders", type=_positive_int, default=3)
     p.add_argument("--val-range", default="30:45")
     p.add_argument("--valuations", default=None, help="JSON of device -> {task: value}")
     p.add_argument("--epsilon", default="1")
     p.add_argument("--policy", choices=("paper-literal", "net-gain"), default="paper-literal")
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_positive_int, default=None)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_wipd)
 
     p = sub.add_parser("greedy", help="pay-as-bid greedy task baseline")
-    p.add_argument("--num-tasks", type=int, default=6)
-    p.add_argument("--bidders", type=int, default=3)
+    p.add_argument("--num-tasks", type=_positive_int, default=6)
+    p.add_argument("--bidders", type=_positive_int, default=3)
     p.add_argument("--val-range", default="30:45")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_greedy)
@@ -364,8 +375,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=0.3)
     p.add_argument("--f", type=int, default=3)
     p.add_argument("--g", type=int, default=3)
-    p.add_argument("--num-tasks", type=int, default=6)
-    p.add_argument("--bidders", type=int, default=3)
+    p.add_argument("--num-tasks", type=_positive_int, default=6)
+    p.add_argument("--bidders", type=_positive_int, default=3)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_experiment)
 

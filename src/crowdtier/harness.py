@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ConfigError("valuation range must satisfy 1 <= lo <= hi")
         if not 0.0 <= self.deviation_frac <= 1.0:
             raise ConfigError("deviation fraction must lie in [0, 1]")
+        if not 0.0 <= self.edge_prob <= 1.0:
+            raise ConfigError("edge probability must lie in [0, 1]")
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")
         if self.dist not in ("uniform", "normal"):

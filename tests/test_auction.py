@@ -12,6 +12,7 @@ from crowdtier import (
     ScriptedOracle,
     TableValuation,
     TerminationError,
+    additive_demand,
     brute_force_demand,
     device_utility,
     greedy_baseline,
@@ -154,6 +155,14 @@ class TestBruteForceDemand:
     def test_unknown_policy(self):
         with pytest.raises(ConfigError):
             brute_force_demand(AdditiveValuation({}), frozenset(), (), 1, "x")
+        with pytest.raises(ConfigError):
+            additive_demand(AdditiveValuation({}), frozenset(), (), 1, "x")
+
+    def test_oracle_enumerates_non_additive_valuations_up_to_cap(self):
+        table = TableValuation({frozenset({0, 20}): 5})
+        oracle = BruteForceOracle({0: table}, policy="paper-literal")
+        with pytest.raises(ConfigError, match="capped"):
+            oracle.demand(0, frozenset(), (Fraction(0),) * 21, 1, 1)
 
 
 class TestWipdRun:
@@ -213,6 +222,17 @@ class TestWipdRun:
             for bundle in out.allocation.values():
                 assert not bundle & seen
                 seen |= bundle
+
+    def test_additive_auction_beyond_enumeration_cap(self):
+        rng = random.Random(37)
+        vals = {
+            d: AdditiveValuation({t: rng.randint(30, 45) for t in range(200)})
+            for d in range(5)
+        }
+        out = wipd_run(200, list(vals), BruteForceOracle(vals, "paper-literal"), 1)
+        out.check()
+        assert len(out.prices) == 200
+        assert set().union(*out.allocation.values()) == set(range(200))
 
     def test_net_gain_settles_empty_when_no_profit(self):
         vals = {0: AdditiveValuation({0: 5}), 1: AdditiveValuation({0: 7})}

@@ -81,9 +81,18 @@ CASES = [
     "wipd --val-range 9:1",
     "greedy --val-range x",
     "experiment --mechanism greedy --val-range 0:3",
+    # Counts must be positive integers; edge probabilities lie in [0, 1].
+    "greedy --num-tasks 0",
+    "wipd --num-tasks -1",
+    "greedy --bidders -2",
+    "wipd --bidders x",
+    "wipd --max-rounds 0",
+    "experiment --mechanism wipd --num-tasks 0",
+    "experiment --mechanism greedy --bidders 1.5",
+    "experiment --mechanism tenm --n 10 --edge-prob 2 --rounds 1",
+    "experiment --mechanism tenm --n 10 --edge-prob nan --rounds 1",
     # Instances the mechanisms cannot run.
     "ectai --devices 5 --f 3 --g 3",
-    "wipd --num-tasks 30",
     # Flags these subcommands do not have.
     "graph-info --graph {graph} --seed 3",
     "estimate --degree 4 --seed 1",

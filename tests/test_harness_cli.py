@@ -74,6 +74,11 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(mechanism="tenm", deviation_frac=1.5))
 
+    @pytest.mark.parametrize("edge_prob", [-0.1, 1.5, float("nan")])
+    def test_edge_prob_outside_unit_interval_rejected(self, edge_prob):
+        with pytest.raises(ConfigError, match="edge probability"):
+            run_experiment(ExperimentConfig(mechanism="tenm", synthetic_n=5, edge_prob=edge_prob))
+
     def test_budget_sweep_winner_count_monotone(self):
         graph = synthetic_graph(20, 0.3, 11)
         costs = {i: 20 + (i * 7) % 31 for i in range(20)}
@@ -185,6 +190,26 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rounds"] >= 1
+
+    @pytest.mark.parametrize("argv", [
+        ["greedy", "--num-tasks", "0"],
+        ["wipd", "--num-tasks", "-1"],
+        ["greedy", "--bidders", "-2"],
+        ["wipd", "--max-rounds", "0"],
+    ])
+    def test_non_positive_count_names_its_flag(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"error: argument {argv[1]}: expected a positive integer, got {argv[2]!r}"
+
+    def test_wipd_cli_beyond_enumeration_cap(self, capsys):
+        # 30 tasks exceed DEMAND_ENUM_CAP; additive demand does not enumerate.
+        code = main(["wipd", "--num-tasks", "30", "--seed", "1"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["prices"]) == 30
+        taken = [t for bundle in payload["allocation"].values() for t in bundle]
+        assert len(taken) == len(set(taken))
 
     def test_out_file_written(self, tmp_path, ex6_paths):
         out = tmp_path / "r.json"

@@ -1,10 +1,13 @@
-"""Property tests of the tier-1 mechanism invariants on random instances.
+"""Property tests of the mechanism invariants on random instances.
 
 ``tenm_run`` is budget feasible, individually rational, and monotone in a
 winner's own cost: a winner lowering its reported cost stays selected
 (Myerson 1981), which is what makes its threshold payment truthful.  PSM
 pays each of its k winners at least its cost and at most B / k
-(Singer 2010).
+(Singer 2010).  The paper-literal ascending auction on additive values
+allocates disjointly, charges each device the final prices of its
+bundle, settles within its round hint, and is epsilon-efficient
+(Demange, Gale and Sotomayor 1986).
 """
 
 from fractions import Fraction
@@ -12,7 +15,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdtier import build_graph, nam_select, psm, tenm_run
+from crowdtier import (
+    AdditiveValuation,
+    BruteForceOracle,
+    build_graph,
+    nam_select,
+    psm,
+    tenm_run,
+    wipd_run,
+)
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -68,3 +79,36 @@ def test_psm_pays_between_cost_and_share(costs, budget):
     k = len(outcome.selected)
     for i, paid in outcome.payments.items():
         assert costs[i] <= paid <= Fraction(budget, k)
+
+
+@st.composite
+def additive_auctions(draw):
+    """(task count, device -> per-task values, epsilon) with up to 30 tasks."""
+    m = draw(st.integers(1, 30))
+    bidders = draw(st.integers(1, 4))
+    # One byte string per instance is far cheaper to draw than nested
+    # integer lists; each byte becomes a value in 0..12.
+    raw = draw(st.binary(min_size=m * bidders, max_size=m * bidders))
+    rows = {d: [b % 13 for b in raw[d * m:(d + 1) * m]] for d in range(bidders)}
+    eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]))
+    return m, rows, eps
+
+
+@PROPERTIES
+@given(additive_auctions())
+def test_wipd_paper_literal_invariants(instance):
+    m, rows, eps = instance
+    vals = {d: AdditiveValuation(dict(enumerate(row))) for d, row in rows.items()}
+    oracle = BruteForceOracle(vals, policy="paper-literal")
+    outcome = wipd_run(m, list(vals), oracle, eps)
+    assert outcome.rounds <= oracle.max_rounds_hint(m, eps)
+    taken = set()
+    for d, bundle in outcome.allocation.items():
+        assert not bundle & taken
+        taken |= bundle
+        assert outcome.payments[d] == sum((outcome.prices[j] for j in bundle), Fraction(0))
+    # Each holder values its task above the task's final price, and every
+    # other device values it at most one increment above that price.
+    welfare = sum(vals[d].value(bundle) for d, bundle in outcome.allocation.items())
+    best = sum(max(row[j] for row in rows.values()) for j in range(m))
+    assert welfare >= best - m * eps
