@@ -150,23 +150,46 @@ def additive_demand(
 class BruteForceOracle:
     """Demand oracle over stored valuations.
 
-    An ``AdditiveValuation`` is answered task by task (``additive_demand``);
-    any other valuation enumerates bundles (``brute_force_demand``), so
-    ``DEMAND_ENUM_CAP`` binds only non-additive valuations.  Both give
-    the same bundle on an additive valuation.
+    Like every oracle ``wipd_run`` drives, it answers ``demand(device,
+    holdings, levels, epsilon, round_index)``, where task j costs
+    ``levels[j] * epsilon``.  For an ``AdditiveValuation`` the bundle is
+    ``additive_demand``'s, found by comparing each level with an integer
+    cut computed once per (device, epsilon) from v_j / epsilon:
+    paper-literal takes task j iff
+    levels[j] < ceil(v_j / epsilon) - 1, net-gain iff
+    levels[j] >= floor(v_j / epsilon); an unlisted task is worth 0.  Any
+    other valuation enumerates bundles (``brute_force_demand``), so
+    ``DEMAND_ENUM_CAP`` binds only non-additive valuations.
     """
 
     def __init__(self, valuations: Mapping[int, object], policy: str = "net-gain"):
+        if policy not in ("net-gain", "paper-literal"):
+            raise ConfigError(f"unknown demand policy {policy!r}")
         self.valuations = dict(valuations)
         self.policy = policy
+        self._cuts: dict[int, list[int]] = {}
+        self._cuts_for = None  # the (epsilon, task count) the cached cuts assume
 
-    def demand(self, device, holdings, prices, epsilon, round_index) -> frozenset[int]:
+    def _additive_cuts(self, valuation: AdditiveValuation, eps: Fraction, m: int) -> list[int]:
+        # v / eps = num / den, den > 0: floor is num // den, ceil - 1 is (num - 1) // den.
+        shift = self.policy == "paper-literal"
+        values = map(valuation.per_task.get, range(m), itertools.repeat(Fraction(0)))
+        return [(v.numerator * eps.denominator - shift) // (v.denominator * eps.numerator)
+                for v in values]
+
+    def demand(self, device, holdings, levels, epsilon, round_index) -> frozenset[int]:
         valuation = self.valuations[device]
-        search = (
-            additive_demand if isinstance(valuation, AdditiveValuation)
-            else brute_force_demand
-        )
-        return search(valuation, holdings, prices, epsilon, self.policy)
+        if not isinstance(valuation, AdditiveValuation):
+            eps = as_fraction(epsilon)
+            prices = [k * eps for k in levels]
+            return brute_force_demand(valuation, holdings, prices, eps, self.policy)
+        if self._cuts_for != (epsilon, len(levels)):
+            self._cuts_for, self._cuts = (epsilon, len(levels)), {}
+        if device not in self._cuts:
+            self._cuts[device] = self._additive_cuts(valuation, as_fraction(epsilon), len(levels))
+        takes = operator.lt if self.policy == "paper-literal" else operator.ge
+        hits = map(takes, levels, self._cuts[device])
+        return frozenset(itertools.compress(itertools.count(), hits)) - holdings
 
     def max_rounds_hint(self, num_tasks: int, epsilon: Fraction) -> int:
         top = max((v.max_value() for v in self.valuations.values()), default=Fraction(0))
@@ -237,6 +260,10 @@ def wipd_run(
     rises in price by epsilon.  The auction ends on the first full pass
     with no demand; exceeding ``max_rounds`` raises TerminationError
     with the trace attached.
+
+    Prices are levels[j] * epsilon: the oracle is asked ``demand(device,
+    holdings, levels, epsilon, round_index)`` with the live list of
+    integer levels, which it must not modify.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
@@ -250,45 +277,44 @@ def wipd_run(
         raise ConfigError("max_rounds must be at least 1")
 
     order = sorted(devices)
-    prices = [Fraction(0)] * num_tasks
-    holdings: dict[int, set[int]] = {i: set() for i in order}
+    tasks = frozenset(range(num_tasks))
+    levels = [0] * num_tasks
+    owner: list[int | None] = [None] * num_tasks
+    holdings = {i: frozenset() for i in order}
+    ladder = [Fraction(0)]  # ladder[k] = k * eps, the price at level k
     trace: list[TraceEntry] = []
 
     for round_index in range(1, max_rounds + 1):
         settled = True
         for i in order:
-            demanded = oracle.demand(
-                i, frozenset(holdings[i]), tuple(prices), eps, round_index
-            )
-            demanded = frozenset(demanded)
-            if not demanded <= set(range(num_tasks)) - holdings[i]:
+            demanded = frozenset(oracle.demand(i, holdings[i], levels, eps, round_index))
+            if not demanded:
+                continue
+            if not (demanded <= tasks and demanded.isdisjoint(holdings[i])):
                 raise DomainError(
                     f"oracle demanded {sorted(demanded)} for device {i}, "
                     "outside the unheld task range"
                 )
-            if demanded:
-                settled = False
-                holdings[i] |= demanded
-                for l in order:
-                    if l != i:
-                        holdings[l] -= demanded
-                for j in demanded:
-                    prices[j] += eps
-                trace.append(
-                    TraceEntry(round_index, i, tuple(sorted(demanded)), tuple(prices))
-                )
+            settled = False
+            for l in set(map(owner.__getitem__, demanded)) - {None}:
+                holdings[l] -= demanded
+            holdings[i] |= demanded
+            for j in demanded:
+                owner[j] = i
+                levels[j] += 1
+            top = max(map(levels.__getitem__, demanded))  # at most one rung above the ladder
+            if top == len(ladder):
+                ladder.append(top * eps)
+            trace.append(TraceEntry(
+                round_index, i, tuple(sorted(demanded)), tuple(map(ladder.__getitem__, levels))
+            ))
         if settled:
-            final = tuple(prices)
-            allocation = {i: frozenset(holdings[i]) for i in order}
-            payments = {
-                i: sum((final[j] for j in allocation[i]), Fraction(0)) for i in order
-            }
             outcome = AuctionOutcome(
                 mechanism="wipd",
                 num_tasks=num_tasks,
-                allocation=allocation,
-                payments=payments,
-                prices=final,
+                allocation=holdings,
+                payments={i: sum(levels[j] for j in holdings[i]) * eps for i in order},
+                prices=tuple(map(ladder.__getitem__, levels)),
                 rounds=round_index,
                 trace=trace,
             )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -44,15 +45,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type=`` for counts: an integer of at least 1."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _typed(convert, noun: str, lo=-math.inf):
+    """argparse ``type=``: ``convert(text)``, finite and at least ``lo``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if -math.inf < value < math.inf and value >= lo:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+    return parse
+
+
+_positive_int = _typed(int, "a positive integer", 1)
+_non_negative_int = _typed(int, "a non-negative integer", 0)
+_finite_float = _typed(float, "a finite number")
+_non_negative_float = _typed(float, "a finite number >= 0", 0)
 
 
 def _number(text: str, flag: str) -> Fraction:
@@ -318,12 +327,12 @@ def build_parser() -> _Parser:
         ("avr", "mean-aggregated quality baseline"),
     ):
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--devices", type=int, default=12)
-        p.add_argument("--f", type=int, default=3)
-        p.add_argument("--g", type=int, default=3)
+        p.add_argument("--devices", type=_positive_int, default=12)
+        p.add_argument("--f", type=_positive_int, default=3)
+        p.add_argument("--g", type=_positive_int, default=3)
         p.add_argument("--dist", choices=("uniform", "normal"), default="uniform")
-        p.add_argument("--mu", type=float, default=0.6)
-        p.add_argument("--sigma", type=float, default=0.3)
+        p.add_argument("--mu", type=_finite_float, default=0.6)
+        p.add_argument("--sigma", type=_non_negative_float, default=0.3)
         _add_output_flags(p)
         p.set_defaults(func=_cmd_quality)
 
@@ -346,9 +355,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_greedy)
 
     p = sub.add_parser("estimate", help="closed-form notification estimators")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_non_negative_int, required=True)
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.add_argument(
         "--estimator",
         choices=("expected", "at-least-one", "chernoff", "lemma1"),
@@ -360,21 +369,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="multi-round experiment harness")
     p.add_argument("--mechanism", required=True, choices=harness.MECHANISMS)
     p.add_argument("--graph", default=None)
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_positive_int, default=50)
     p.add_argument("--edge-prob", type=float, default=0.3)
     p.add_argument("--budget", default="1000")
     p.add_argument("--delta", default="2")
     p.add_argument("--epsilon", default="1")
     p.add_argument("--cost-range", default="20:50")
     p.add_argument("--val-range", default="30:45")
-    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--rounds", type=_positive_int, default=5)
     p.add_argument("--deviation-frac", type=float, default=0.0)
-    p.add_argument("--deviation-delta", type=int, default=5)
+    p.add_argument("--deviation-delta", type=_positive_int, default=5)
     p.add_argument("--dist", choices=("uniform", "normal"), default="uniform")
-    p.add_argument("--mu", type=float, default=0.6)
-    p.add_argument("--sigma", type=float, default=0.3)
-    p.add_argument("--f", type=int, default=3)
-    p.add_argument("--g", type=int, default=3)
+    p.add_argument("--mu", type=_finite_float, default=0.6)
+    p.add_argument("--sigma", type=_non_negative_float, default=0.3)
+    p.add_argument("--f", type=_positive_int, default=3)
+    p.add_argument("--g", type=_positive_int, default=3)
     p.add_argument("--num-tasks", type=_positive_int, default=6)
     p.add_argument("--bidders", type=_positive_int, default=3)
     _add_output_flags(p)

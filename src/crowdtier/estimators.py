@@ -46,10 +46,10 @@ def at_least_one(model: NotifyModel) -> tuple[float, float]:
 
 def chernoff_tail(expectation: float, kappa: float) -> float:
     """Upper bound on Pr{X > (1+kappa) E}: exp((1+k)E) / (1+k)^{(1+k)E}."""
-    if expectation <= 0:
-        raise DomainError("expectation must be positive")
-    if kappa <= -1:
-        raise DomainError("kappa must exceed -1")
+    if not 0 < expectation < math.inf:
+        raise DomainError("expectation must be positive and finite")
+    if not -1 < kappa < math.inf:
+        raise DomainError("kappa must be finite and exceed -1")
     t = (1.0 + kappa) * expectation
     return math.exp(t) / (1.0 + kappa) ** t
 

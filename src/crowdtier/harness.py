@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("rounds must be positive")
         if self.dist not in ("uniform", "normal"):
             raise ConfigError(f"unknown distribution {self.dist!r}")
+        if not (math.isfinite(self.mu) and 0 <= self.sigma < math.inf):
+            raise ConfigError("peaks need a finite mu and a finite sigma >= 0")
         for name in ("synthetic_n", "f", "g", "num_tasks", "num_bidders",
                      "deviation_delta"):
             if getattr(self, name) < 1:

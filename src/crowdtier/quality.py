@@ -9,6 +9,7 @@ reports between the two.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -68,6 +69,8 @@ class NormalPeaks:
     """
 
     def __init__(self, mu: float = 0.6, sigma: float = 0.3):
+        if not (math.isfinite(mu) and 0 <= sigma < math.inf):
+            raise DomainError(f"normal peaks need a finite mu and sigma >= 0, got {mu}, {sigma}")
         self.mu = mu
         self.sigma = sigma
 

@@ -158,6 +158,10 @@ class TestBruteForceDemand:
         with pytest.raises(ConfigError):
             additive_demand(AdditiveValuation({}), frozenset(), (), 1, "x")
 
+    def test_oracle_rejects_unknown_policy_at_construction(self):
+        with pytest.raises(ConfigError, match="policy"):
+            BruteForceOracle({}, policy="x")
+
     def test_oracle_enumerates_non_additive_valuations_up_to_cap(self):
         table = TableValuation({frozenset({0, 20}): 5})
         oracle = BruteForceOracle({0: table}, policy="paper-literal")

@@ -9,7 +9,9 @@ or the same trace when the auction does not settle.
 Values and prices are drawn on a grid of sixths, and every epsilon is a
 multiple of 1/6, so a price plus epsilon often equals a value exactly:
 the tie that the smallest-bundle rule must resolve by leaving the task.
-The single-query test also places a quarter of its values on such ties.
+The single-query tests also place a quarter of their values on such ties.
+``BruteForceOracle`` sees integer price levels (price = level * epsilon),
+so its queries are drawn on that grid.
 """
 
 import random
@@ -70,8 +72,26 @@ def test_demand_query_matches_enumeration(policy, eps):
         holdings = frozenset(t for t in range(m) if rng.random() < 0.3)
         expected = brute_force_demand(valuation, holdings, prices, eps, policy)
         assert additive_demand(valuation, holdings, prices, eps, policy) == expected
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("eps", EPSILONS, ids=str)
+def test_oracle_query_on_price_levels_matches_enumeration(policy, eps):
+    # The oracle sees integer levels; task j's price is levels[j] * eps.
+    rng = random.Random(f"levels:{policy}:{eps}")
+    for _ in range(60):
+        m = rng.randint(0, 10)
+        levels = [rng.randint(0, 8) for _ in range(m)]
+        # A quarter of the values sit exactly at the next level's price.
+        valuation = AdditiveValuation({
+            t: (levels[t] + 1) * eps if rng.random() < 0.25 else sixths(rng, 14)
+            for t in range(m) if rng.random() < 0.8
+        })
+        holdings = frozenset(t for t in range(m) if rng.random() < 0.3)
+        prices = tuple(k * eps for k in levels)
+        expected = brute_force_demand(valuation, holdings, prices, eps, policy)
         oracle = BruteForceOracle({0: valuation}, policy)
-        assert oracle.demand(0, holdings, prices, eps, 1) == expected
+        assert oracle.demand(0, holdings, levels, eps, 1) == expected
 
 
 def outcome_of(m, valuations, policy, eps):

@@ -91,6 +91,22 @@ CASES = [
     "experiment --mechanism greedy --bidders 1.5",
     "experiment --mechanism tenm --n 10 --edge-prob 2 --rounds 1",
     "experiment --mechanism tenm --n 10 --edge-prob nan --rounds 1",
+    "ectai --devices -2",
+    "avr --f 0",
+    "ectai --g -1",
+    "experiment --mechanism tenm --n 0",
+    "experiment --mechanism tenm --n 10 --rounds 0",
+    "experiment --mechanism tenm --n 10 --rounds 1 --deviation-delta 0",
+    "experiment --mechanism ectai --f 0",
+    "estimate --degree -1",
+    "estimate --degree x",
+    # Real parameters must be finite; sigma must also be >= 0.
+    "experiment --mechanism tenm --n 10 --rounds 1 --mu nan",
+    "experiment --mechanism ectai --n 10 --rounds 1 --dist normal --sigma inf",
+    "ectai --dist normal --sigma -0.1",
+    "avr --dist normal --mu inf",
+    "estimate --degree 4 --estimator chernoff --kappa nan",
+    "estimate --degree 4 --estimator chernoff --kappa -1",
     # Instances the mechanisms cannot run.
     "ectai --devices 5 --f 3 --g 3",
     # Flags these subcommands do not have.

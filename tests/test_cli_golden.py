@@ -67,6 +67,8 @@ GOLDEN = {
         "50f094dc56ca879dd90d22bf42f2884576145db71162be418f342bd0f3f42f39",
     "greedy --num-tasks 4 --bidders 3 --val-range 3:9 --seed 17":
         "654866a11b44bad4b373c7048d12ab2442c93b03af952820bae505b88c2b2af2",
+    "wipd --num-tasks 1000 --bidders 100 --seed 1":
+        "1a330d136f12e709e53bee694ba31f953ef287ee1a43a39d1d08d27ad8b1541b",
     "wipd --num-tasks 5 --bidders 3 --val-range 3:9 --policy net-gain --seed 3":
         "87011f20e011281485b80aac4e3a93307d10a4786ee2c52881b9a45dc7d06d78",
     "greedy --seed 3":

@@ -78,6 +78,13 @@ class TestChernoff:
         with pytest.raises(DomainError):
             chernoff_tail(1.0, -1.0)
 
+    @pytest.mark.parametrize("expectation, kappa", [
+        (1.0, float("nan")), (1.0, float("inf")), (float("nan"), 1.0), (float("inf"), 1.0),
+    ])
+    def test_non_finite_input_rejected(self, expectation, kappa):
+        with pytest.raises(DomainError):
+            chernoff_tail(expectation, kappa)
+
     def test_dominates_binomial_tail(self):
         for n, p in [(20, 0.3), (50, 0.1), (10, 0.5)]:
             e = n * p

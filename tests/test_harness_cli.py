@@ -79,6 +79,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="edge probability"):
             run_experiment(ExperimentConfig(mechanism="tenm", synthetic_n=5, edge_prob=edge_prob))
 
+    @pytest.mark.parametrize("mu, sigma", [(float("nan"), 0.3), (0.6, float("inf")), (0.6, -1.0)])
+    def test_non_finite_peak_parameters_rejected(self, mu, sigma):
+        # Not even a mechanism that draws no peaks may carry NaN into its report.
+        with pytest.raises(ConfigError, match="peaks"):
+            run_experiment(ExperimentConfig(mechanism="tenm", synthetic_n=5, mu=mu, sigma=sigma))
+
     def test_budget_sweep_winner_count_monotone(self):
         graph = synthetic_graph(20, 0.3, 11)
         costs = {i: 20 + (i * 7) % 31 for i in range(20)}
@@ -196,6 +202,12 @@ class TestCli:
         ["wipd", "--num-tasks", "-1"],
         ["greedy", "--bidders", "-2"],
         ["wipd", "--max-rounds", "0"],
+        ["ectai", "--devices", "-2"],
+        ["avr", "--f", "0"],
+        ["ectai", "--g", "-1"],
+        ["experiment", "--n", "0"],
+        ["experiment", "--rounds", "0"],
+        ["experiment", "--deviation-delta", "0"],
     ])
     def test_non_positive_count_names_its_flag(self, capsys, argv):
         assert main(argv) == 1

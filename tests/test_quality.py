@@ -199,6 +199,14 @@ class TestGeneratedRuns:
         for _ in range(200):
             assert 0.0 <= src.sample(0, 0, rng) <= 1.0
 
+    @pytest.mark.parametrize("mu, sigma", [
+        (float("nan"), 0.3), (float("inf"), 0.3), (0.5, float("nan")), (0.5, float("inf")),
+        (0.5, -0.1),
+    ])
+    def test_normal_peaks_reject_non_finite_or_negative_sigma(self, mu, sigma):
+        with pytest.raises(DomainError):
+            NormalPeaks(mu, sigma)
+
     def test_report_outside_unit_interval_rejected(self):
         scripts = [BatchScript((0,), (1,), {0: 0.5})]
         with pytest.raises(DomainError):
