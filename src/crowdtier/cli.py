@@ -45,12 +45,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _typed(convert, noun: str, lo=-math.inf):
-    """argparse ``type=``: ``convert(text)``, finite and at least ``lo``."""
+def _typed(convert, noun: str, lo=-math.inf, hi=math.inf):
+    """argparse ``type=``: ``convert(text)``, finite and in [lo, hi]."""
     def parse(text: str):
         try:
             value = convert(text)
-            if -math.inf < value < math.inf and value >= lo:
+            if -math.inf < value < math.inf and lo <= value <= hi:
                 return value
         except ValueError:
             pass
@@ -62,6 +62,7 @@ _positive_int = _typed(int, "a positive integer", 1)
 _non_negative_int = _typed(int, "a non-negative integer", 0)
 _finite_float = _typed(float, "a finite number")
 _non_negative_float = _typed(float, "a finite number >= 0", 0)
+_probability = _typed(float, "a probability in [0, 1]", 0, 1)
 
 
 def _number(text: str, flag: str) -> Fraction:
@@ -356,7 +357,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="closed-form notification estimators")
     p.add_argument("--degree", type=_non_negative_int, required=True)
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--p", type=_probability, default=0.5)
     p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.add_argument(
         "--estimator",
@@ -370,14 +371,14 @@ def build_parser() -> _Parser:
     p.add_argument("--mechanism", required=True, choices=harness.MECHANISMS)
     p.add_argument("--graph", default=None)
     p.add_argument("--n", type=_positive_int, default=50)
-    p.add_argument("--edge-prob", type=float, default=0.3)
+    p.add_argument("--edge-prob", type=_probability, default=0.3)
     p.add_argument("--budget", default="1000")
     p.add_argument("--delta", default="2")
     p.add_argument("--epsilon", default="1")
     p.add_argument("--cost-range", default="20:50")
     p.add_argument("--val-range", default="30:45")
     p.add_argument("--rounds", type=_positive_int, default=5)
-    p.add_argument("--deviation-frac", type=float, default=0.0)
+    p.add_argument("--deviation-frac", type=_probability, default=0.0)
     p.add_argument("--deviation-delta", type=_positive_int, default=5)
     p.add_argument("--dist", choices=("uniform", "normal"), default="uniform")
     p.add_argument("--mu", type=_finite_float, default=0.6)

@@ -51,14 +51,32 @@ def chernoff_tail(expectation: float, kappa: float) -> float:
     if not -1 < kappa < math.inf:
         raise DomainError("kappa must be finite and exceed -1")
     t = (1.0 + kappa) * expectation
-    return math.exp(t) / (1.0 + kappa) ** t
+    return _exp_over_power(t, 1.0 + kappa)
 
 
 def tail_at(t: float) -> float:
     """The e^t / t^t tail expression shared by the Chernoff-style bounds."""
     if t <= 0:
         raise DomainError("t must be positive")
-    return math.exp(t) / t**t
+    return _exp_over_power(t, t)
+
+
+def _exp_over_power(t: float, base: float) -> float:
+    """e^t / base^t.  Where that direct form overflows, the value is
+    exp(t * (1 - ln base)), which underflows to a vanishing bound instead;
+    DomainError when even that is not a finite float."""
+    try:
+        value = math.exp(t) / base**t
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        try:
+            value = math.exp(t * (1.0 - math.log(base)))
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"e^t / {base}^t at t = {t} is not a finite float")
+    return value
 
 
 def lemma1_bound(degree: int) -> float:

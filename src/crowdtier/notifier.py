@@ -4,16 +4,18 @@ threshold payments, plus the NTBFM and PSM baselines.
 The greedy and its payments run on exact integers.  Each call scales the
 reported costs once: with D the lcm of their denominators, C_i = c_i * D
 is an integer, and with L = lcm(C_i) and w_i = L // C_i, the ratio
-m / c_i = m * w_i * D / L orders exactly as the integer m * w_i.  The
-lazy heap is keyed by (-m * w_i, i), and every admission test and
-payment comparison is an integer cross-multiplication, so threshold
-conditions that hold with equality are never lost to rounding, however
-large L grows.
+m / c_i = m * w_i * D / L orders exactly as the integer m * w_i.  Each
+lazy-heap entry is the single int i - m * (w_i << s), with s bits for a
+node id, which orders as (-m * w_i, i); every admission test and payment
+comparison is an integer cross-multiplication, so threshold conditions
+that hold with equality are never lost to rounding, however large L
+grows.
 
 The greedy argmax uses lazy re-evaluation (CELF): a candidate's cached
-marginal only shrinks as the covered set grows, so a popped entry whose
-marginal is unchanged is the true argmax.  The resulting order is the
-argmax sequence with ties to the lowest id, whatever the heap's layout;
+marginal only shrinks as the covered set grows, so a heap top whose
+marginal is unchanged is the true argmax, and a stale top is re-keyed in
+place.  Every key is unique, so the resulting order is the argmax
+sequence with ties to the lowest id, whatever the heap's layout;
 :func:`npm_prices` relies on that to share one forward pass among all
 of its payment reruns.
 """
@@ -113,21 +115,25 @@ def _scaled_costs(n: int, costs: Mapping[int, Numeric]) -> tuple[list[int], int]
 
 
 def _greedy_heap(masks: tuple[int, ...], scaled: list[int]):
-    """Heap weights ``w_i = L // C_i`` with ``L = lcm(C)``, and the initial
-    lazy heap of entries ``(-m * w_i, i, m)``.  ``m * w_i = m * L / C_i``
-    orders exactly as the ratio m / c_i, so popping the smallest entry
-    takes the largest ratio with ties to the lowest id."""
+    """Shifted heap weights, the id mask, and the initial lazy heap.
+
+    With ``L = lcm(C)``, ``w_i = L // C_i`` and ``s`` bits for a node id,
+    node i with marginal m is the single int ``i - m * (w_i << s)``.
+    ``m * w_i = m * L / C_i`` orders exactly as the ratio m / c_i, and
+    two distinct values of ``m * (w_i << s)`` differ by a multiple of
+    ``2**s``, which exceeds every id, so the smallest key takes the
+    largest ratio with ties to the lowest id; ``key & ids`` decodes the
+    node.
+    """
     top = math.lcm(*set(scaled))
-    weights = [top // c for c in scaled]
-    heap = []
-    for i, (mask, w) in enumerate(zip(masks, weights)):
-        m = mask.bit_count()
-        heap.append((-m * w, i, m))
+    shift = max(len(masks) - 1, 1).bit_length()
+    weights = [(top // c) << shift for c in scaled]
+    heap = [i - mask.bit_count() * w for i, (mask, w) in enumerate(zip(masks, weights))]
     heapq.heapify(heap)
-    return weights, heap
+    return weights, (1 << shift) - 1, heap
 
 
-def _argmax_order(masks, weights, heap, covered: int = 0, value: int = 0):
+def _argmax_order(masks, weights, ids, heap, covered: int = 0, value: int = 0):
     """Lazy (CELF) marginal-per-cost greedy order over the nodes in ``heap``.
 
     Yields one position ``(node, marginal, covered, value)`` per node, where
@@ -135,15 +141,18 @@ def _argmax_order(masks, weights, heap, covered: int = 0, value: int = 0):
     its size; each yielded node is then added to the covered set.  Once the
     heap is empty a terminal position ``(None, 0, covered, value)`` follows.
     ``heap`` is consumed in place: between two positions it holds every
-    node not yet yielded, keyed by an upper bound of its ratio.
+    node not yet yielded, keyed (see :func:`_greedy_heap`) by an upper
+    bound of its ratio.  A stale top is re-keyed in place with one
+    ``heapreplace``; only a top whose key is current is popped.
     """
     free = ~covered
     while heap:
-        _, i, scored = heapq.heappop(heap)
+        i = heap[0] & ids
         m = (masks[i] & free).bit_count()
-        if m != scored:
-            heapq.heappush(heap, (-m * weights[i], i, m))
+        if (key := i - m * weights[i]) != heap[0]:
+            heapq.heapreplace(heap, key)
             continue
+        heapq.heappop(heap)
         yield i, m, covered, value
         covered |= masks[i]
         free = ~covered
@@ -164,7 +173,9 @@ def _until_rejected(order, scaled: list[int], share: Fraction, scale: int):
             return
 
 
-def _threshold(reach: int, positions, scaled: list[int], scale: int, budget: Fraction) -> Fraction:
+def _threshold(
+    masks, reach: int, positions, scaled: list[int], scale: int, budget: Fraction
+) -> Fraction:
     """Critical value of the winner whose neighbourhood mask is ``reach``,
     from the positions of its rerun (each admitted one, then the first
     rejected one): the largest candidate min(nabla_k, rho_k) over the
@@ -172,25 +183,31 @@ def _threshold(reach: int, positions, scaled: list[int], scale: int, budget: Fra
 
     rho_k = B * h_jk / (h(T_k) + h_jk) never grows along the rerun, since
     the covered set T_k only grows, so the scan stops once rho_k cannot
-    beat the running maximum; it also stops once h_jk is 0.  Candidates
-    are compared as integer (numerator, denominator) pairs.
+    beat the running maximum; it also stops once h_jk is 0.  After an
+    admitted position, T_k and h(T_k) of the next one are known before
+    its argmax, so both tests run before the rerun computes it.
+    Candidates are compared as integer (numerator, denominator) pairs.
     """
     best_num, best_den = 0, 1
+    gain = reach.bit_count()
+    if gain == 0:
+        return Fraction(0)
+    num, den = budget.numerator, budget.denominator  # rho_0 = B
     for i, m, covered, h in positions:
-        gain = (reach & ~covered).bit_count()
-        if gain == 0:
-            break
-        num, den = budget.numerator * gain, budget.denominator * (h + gain)
-        if num * best_den <= best_num * den:
-            break
-        # A zero marginal at the loser leaves the positional cost
-        # unbounded, so the budget share alone caps the candidate.
+        # (num, den) is rho_k.  A zero marginal at the loser leaves the
+        # positional cost unbounded, so rho_k alone caps the candidate.
         if m:
             nabla_num, nabla_den = gain * scaled[i], scale * m
             if nabla_num * den < num * nabla_den:
                 num, den = nabla_num, nabla_den
         if num * best_den > best_num * den:
             best_num, best_den = num, den
+        # The next position's T_k and h(T_k) follow from this one; a zero
+        # marginal is never admitted, so its position is the last.
+        gain = (reach & ~(covered | masks[i])).bit_count() if m else 0
+        num, den = budget.numerator * gain, budget.denominator * (h + m + gain)
+        if gain == 0 or num * best_den <= best_num * den:
+            break
     return Fraction(best_num, best_den)
 
 
@@ -218,9 +235,9 @@ def nam_select(
         return [], frozenset()
 
     scaled, scale = _scaled_costs(graph.n, costs)
-    weights, heap = _greedy_heap(graph.masks, scaled)
+    weights, ids, heap = _greedy_heap(graph.masks, scaled)
     positions = _until_rejected(
-        _argmax_order(graph.masks, weights, heap), scaled, budget / delta, scale
+        _argmax_order(graph.masks, weights, ids, heap), scaled, budget / delta, scale
     )
     selected = [i for i, _, _, _ in positions][:-1]
     return selected, graph.covered(selected)
@@ -268,24 +285,25 @@ def npm_prices(
         raise DomainError(f"selected list repeats a node id: {selected!r}")
 
     masks = graph.masks
-    weights, heap = _greedy_heap(masks, scaled)
+    weights, ids, heap = _greedy_heap(masks, scaled)
     payments: dict[int, Fraction] = {}
     # Positions of the forward pass: the undamped rule's admitted prefix,
     # then its first rejected position.
     positions: list[tuple] = []
-    for position in _until_rejected(_argmax_order(masks, weights, heap), scaled, budget, scale):
+    forward = _argmax_order(masks, weights, ids, heap)
+    for position in _until_rejected(forward, scaled, budget, scale):
         if not pending:
             break
         j, _, covered, value = position
         if j in pending:
             pending.remove(j)
-            resumed = _argmax_order(masks, weights, heap[:], covered, value)
+            resumed = _argmax_order(masks, weights, ids, heap[:], covered, value)
             rerun = itertools.chain(positions, _until_rejected(resumed, scaled, budget, scale))
-            payments[j] = _threshold(masks[j], rerun, scaled, scale, budget)
+            payments[j] = _threshold(masks, masks[j], rerun, scaled, scale, budget)
         positions.append(position)
     # Winners after the forward pass's first rejection share its reruns.
     for j in pending:
-        payments[j] = _threshold(masks[j], positions, scaled, scale, budget)
+        payments[j] = _threshold(masks, masks[j], positions, scaled, scale, budget)
     return {j: payments[j] for j in selected}
 
 

@@ -8,6 +8,7 @@ six-device example files; other file names are written into the case's
 working directory from ``FILES``.
 """
 
+import math
 import pathlib
 
 import pytest
@@ -107,6 +108,19 @@ CASES = [
     "avr --dist normal --mu inf",
     "estimate --degree 4 --estimator chernoff --kappa nan",
     "estimate --degree 4 --estimator chernoff --kappa -1",
+    # e^500 / 0.5^500 is beyond the largest float.
+    "estimate --degree 1000 --p 1 --estimator chernoff --kappa -0.5",
+    # Probabilities lie in [0, 1].
+    "estimate --degree 4 --p -1",
+    "estimate --degree 4 --p 2",
+    "estimate --degree 4 --p nan",
+    "estimate --degree 4 --p x",
+    "experiment --mechanism tenm --n 10 --edge-prob -1 --rounds 1",
+    "experiment --mechanism tenm --n 10 --edge-prob x --rounds 1",
+    "experiment --mechanism tenm --n 10 --rounds 1 --deviation-frac -1",
+    "experiment --mechanism tenm --n 10 --rounds 1 --deviation-frac 2",
+    "experiment --mechanism tenm --n 10 --rounds 1 --deviation-frac nan",
+    "experiment --mechanism tenm --n 10 --rounds 1 --deviation-frac x",
     # Instances the mechanisms cannot run.
     "ectai --devices 5 --f 3 --g 3",
     # Flags these subcommands do not have.
@@ -131,3 +145,20 @@ def test_malformed_input_is_one_error_line(line, tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err
     errors = [row for row in captured.err.splitlines() if row.startswith("error:")]
     assert len(errors) == 1, captured.err
+
+
+# Valid input whose direct evaluation overflows a float: each prints one
+# finite value and exits 0.
+EXTREME = [
+    "estimate --degree 1000 --p 1 --estimator chernoff",
+    "estimate --degree 100000 --estimator lemma1",
+]
+
+
+@pytest.mark.parametrize("line", EXTREME)
+def test_extreme_input_is_one_finite_value(line, capsys):
+    code = main(line.split())
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    assert math.isfinite(float(captured.out))

@@ -85,6 +85,22 @@ class TestChernoff:
         with pytest.raises(DomainError):
             chernoff_tail(expectation, kappa)
 
+    def test_direct_form_kept_where_finite(self):
+        for expectation, kappa in [(1.8, 1.0), (0.5, 0.25), (300.0, 1.0), (50.0, 3.0)]:
+            t = (1 + kappa) * expectation
+            assert chernoff_tail(expectation, kappa) == math.exp(t) / (1 + kappa) ** t
+
+    def test_overflowing_direct_form_evaluated_in_log_space(self):
+        # Degree 1000 at p = 1: e^2000 overflows a float, e^2000 / 2^2000 does not.
+        assert chernoff_tail(1000.0, 1.0) == pytest.approx(math.exp(2000 * (1 - math.log(2))))
+        assert chernoff_tail(1e300, 2.0) == 0.0
+        assert chernoff_tail(10.0, 1e308) == 0.0
+
+    def test_bound_beyond_float_range_is_domain_error(self):
+        # e^500 / 0.5^500 = e^846.6 exceeds the largest float.
+        with pytest.raises(DomainError):
+            chernoff_tail(1000.0, -0.5)
+
     def test_dominates_binomial_tail(self):
         for n, p in [(20, 0.3), (50, 0.1), (10, 0.5)]:
             e = n * p
@@ -112,6 +128,12 @@ class TestLemma1:
         for degree in (3, 5, 10, 50):
             t = math.sqrt(degree * math.log(degree))
             assert lemma1_bound(degree) == pytest.approx(math.exp(t) / t**t)
+
+    def test_large_degree_underflows_to_zero(self):
+        # t = sqrt(1e5 ln 1e5) = 1073: e^t overflows, e^t / t^t is below 1e-2700.
+        assert lemma1_bound(100_000) == 0.0
+        assert tail_at(2000.0) == 0.0
+        assert tail_at(1e308) == 0.0
 
     def test_tail_monotone_decreasing_beyond_e(self):
         values = [tail_at(t) for t in (3.0, 4.0, 6.0, 10.0)]

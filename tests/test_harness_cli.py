@@ -1,6 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import crowdtier
 
 from crowdtier import ConfigError, ExperimentConfig, run_experiment
 from crowdtier import harness
@@ -213,6 +219,28 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == f"error: argument {argv[1]}: expected a positive integer, got {argv[2]!r}"
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--p", "2", "--degree", "4"],
+        ["experiment", "--edge-prob", "-0.5", "--mechanism", "tenm"],
+        ["experiment", "--deviation-frac", "nan", "--mechanism", "tenm"],
+    ])
+    def test_probability_out_of_range_names_its_flag(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        want = f"expected a probability in [0, 1], got {argv[2]!r}"
+        assert err[-1] == f"error: argument {argv[1]}: {want}"
+
+    def test_python_m_crowdtier(self):
+        src = pathlib.Path(crowdtier.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "crowdtier", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: crowdtier")
 
     def test_wipd_cli_beyond_enumeration_cap(self, capsys):
         # 30 tasks exceed DEMAND_ENUM_CAP; additive demand does not enumerate.

@@ -81,3 +81,53 @@ def test_prime_costs_with_huge_lcm():
     assert math.lcm(*costs.values()).bit_length() > 1500
     selected = assert_same(graph, costs, 400_000)
     assert len(selected) >= 10
+
+
+# The heap packs each entry into one int whose low bits hold the node id.
+# At these sizes node n - 1 sets the top bit of that id field (n = 2^k + 1)
+# or fills it (n = 2^k).
+ID_FIELD_SIZES = (1, 2, 3, 4, 5, 8, 9, 16, 17, 33)
+
+
+@pytest.mark.parametrize("n", ID_FIELD_SIZES)
+def test_highest_node_id_decodes(n):
+    rng = random.Random(f"id-field:{n}")
+    winners = 0
+    for t in range(40):
+        graph = random_graph(rng, n, rng.choice((0.2, 0.5, 0.9)))
+        if t % 4 == 0:
+            # A star around node n - 1 makes it the first argmax.
+            hub = [(i, n - 1) for i in range(n - 1)]
+            graph = build_graph(n, hub + [(i, i + 1) for i in range(n - 2) if rng.random() < 0.3])
+        costs = {i: COSTS["tied" if t % 2 else "fraction"](rng) for i in range(n)}
+        budget = BUDGETS["fraction"](rng)
+        subsets = [[n - 1], rng.sample(range(n), rng.randint(0, n))]
+        winners += len(assert_same(graph, costs, budget, rng.choice((1, 2)), subsets))
+    assert winners > 0 or n == 1
+
+
+@pytest.mark.parametrize("kind", ["integers", "coprime_fractions"])
+def test_weights_wider_than_64_bits(kind):
+    rng = random.Random(kind)
+    n = 60
+    denominators = (7, 11, 13, 17, 19, 23, 29, 31)
+    for _ in range(6):
+        graph = random_graph(rng, n, rng.choice((0.1, 0.3)))
+        if kind == "integers":
+            costs = {i: 20 + i % 31 for i in range(n)}
+        else:
+            costs = {i: Fraction(rng.randint(20, 50), denominators[i % 8]) for i in range(n)}
+        exact = [Fraction(c) for c in costs.values()]
+        scale = math.lcm(*(c.denominator for c in exact))
+        assert math.lcm(*(int(c * scale) for c in exact)) > 2**64
+        selected = assert_same(graph, costs, rng.randint(200, 900),
+                               subsets=[rng.sample(range(n), 10)])
+        assert selected
+
+
+def test_dense_n300_graph():
+    rng = random.Random("dense-300")
+    graph = random_graph(rng, 300, 0.4)
+    costs = {i: rng.randint(20, 50) for i in range(300)}
+    selected = assert_same(graph, costs, 15000, subsets=[rng.sample(range(300), 30)])
+    assert len(selected) >= 5

@@ -7,9 +7,13 @@ pays each of its k winners at least its cost and at most B / k
 (Singer 2010).  The paper-literal ascending auction on additive values
 allocates disjointly, charges each device the final prices of its
 bundle, settles within its round hint, and is epsilon-efficient
-(Demange, Gale and Sotomayor 1986).
+(Demange, Gale and Sotomayor 1986).  The pay-as-bid greedy baseline
+allocates disjointly, pays each winner its bid, and rejects a request
+only for overlapping one accepted before it in ascending bid / sqrt(size)
+order.
 """
 
+import functools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from crowdtier import (
     AdditiveValuation,
     BruteForceOracle,
     build_graph,
+    greedy_baseline,
     nam_select,
     psm,
     tenm_run,
@@ -112,3 +117,44 @@ def test_wipd_paper_literal_invariants(instance):
     welfare = sum(vals[d].value(bundle) for d, bundle in outcome.allocation.items())
     best = sum(max(row[j] for row in rows.values()) for j in range(m))
     assert welfare >= best - m * eps
+
+
+@st.composite
+def bundle_requests(draw):
+    """device -> (bundle, bid) over up to 8 tasks, inserted in random id order."""
+    m = draw(st.integers(1, 8))
+    devices = draw(st.permutations(range(draw(st.integers(0, 10)))))
+    # Three bytes per request: a non-empty task mask, then a bid's
+    # numerator (0..12) and denominator (1..3), so ratio ties are common.
+    raw = draw(st.binary(min_size=3 * len(devices), max_size=3 * len(devices)))
+    requests = {}
+    for d, (mask, num, den) in zip(devices, zip(*[iter(raw)] * 3)):
+        mask = 1 + mask % (2**m - 1)
+        bundle = frozenset(t for t in range(m) if mask >> t & 1)
+        requests[d] = (bundle, Fraction(num % 13, 1 + den % 3))
+    return requests
+
+
+def _bid_per_root_size(requests, a, b):
+    """Compare bid / sqrt(size) of requests a and b exactly, ties to the lower id."""
+    (bundle_a, bid_a), (bundle_b, bid_b) = requests[a], requests[b]
+    left, right = bid_a * bid_a * len(bundle_b), bid_b * bid_b * len(bundle_a)
+    return (left > right) - (left < right) or (a > b) - (a < b)
+
+
+@PROPERTIES
+@given(bundle_requests())
+def test_greedy_baseline_invariants(requests):
+    outcome = greedy_baseline(requests)
+    assert set(outcome.payments) == set(outcome.allocation)
+    order = sorted(requests, key=functools.cmp_to_key(
+        functools.partial(_bid_per_root_size, requests)))
+    taken = set()
+    for d in order:
+        bundle, bid = requests[d]
+        if d in outcome.allocation:
+            assert outcome.allocation[d] == bundle and not bundle & taken
+            assert outcome.payments[d] == bid
+            taken |= bundle
+        else:
+            assert bundle & taken, d
