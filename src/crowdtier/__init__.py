@@ -12,7 +12,6 @@ from .auction import (
     BruteForceOracle,
     ScriptedOracle,
     TableValuation,
-    additive_demand,
     brute_force_demand,
     device_utility,
     greedy_baseline,
@@ -90,7 +89,6 @@ __all__ = [
     "TableValuation",
     "TerminationError",
     "UniformPeaks",
-    "additive_demand",
     "at_least_one",
     "avr_run",
     "brute_force_demand",

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError, InvariantError, TerminationError
-from .notifier import Numeric, as_fraction
+from .notifier import Numeric, as_fraction, notifier_utility
 
 DEMAND_ENUM_CAP = 20
 
@@ -61,7 +61,7 @@ class TableValuation:
                 })
                 for device, entries in json.loads(text).items()
             }
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ConfigError(
                 f'valuation table is not {{device: [{{"subset": [...], "value": v}}]}}: {exc!r}'
             ) from None
@@ -120,46 +120,21 @@ def brute_force_demand(
     return best
 
 
-def additive_demand(
-    valuation: AdditiveValuation,
-    holdings: frozenset[int],
-    prices: Sequence[Fraction],
-    epsilon: Numeric,
-    policy: str = "net-gain",
-) -> frozenset[int]:
-    """Exact demand query for an additive valuation, one task at a time.
-
-    The brute-force score splits into one term p[j] + eps - v[j] per
-    unheld task.  Paper-literal takes task j iff its term is negative,
-    net-gain iff it is positive; a zero term only adds size, which the
-    smallest-bundle tie-break never picks.  This is the bundle
-    ``brute_force_demand`` returns, found in O(m) instead of O(2^m).
-    """
-    if policy not in ("net-gain", "paper-literal"):
-        raise ConfigError(f"unknown demand policy {policy!r}")
-    takes = operator.lt if policy == "paper-literal" else operator.gt
-    eps = as_fraction(epsilon)
-    values = valuation.per_task
-    zero = Fraction(0)
-    return frozenset(
-        j for j, p in enumerate(prices)
-        if j not in holdings and takes(p + eps, values.get(j, zero))
-    )
-
-
 class BruteForceOracle:
     """Demand oracle over stored valuations.
 
     Like every oracle ``wipd_run`` drives, it answers ``demand(device,
     holdings, levels, epsilon, round_index)``, where task j costs
     ``levels[j] * epsilon``.  For an ``AdditiveValuation`` the bundle is
-    ``additive_demand``'s, found by comparing each level with an integer
-    cut computed once per (device, epsilon) from v_j / epsilon:
-    paper-literal takes task j iff
-    levels[j] < ceil(v_j / epsilon) - 1, net-gain iff
-    levels[j] >= floor(v_j / epsilon); an unlisted task is worth 0.  Any
-    other valuation enumerates bundles (``brute_force_demand``), so
-    ``DEMAND_ENUM_CAP`` binds only non-additive valuations.
+    found task by task: paper-literal takes unheld task j iff
+    p_j + epsilon < v_j, net-gain iff p_j + epsilon > v_j, and an unlisted
+    task is worth 0.  That is ``brute_force_demand``'s bundle, since a tie
+    only adds size, which its smallest-bundle rule never picks.  Each rule
+    is an integer cut computed once per (device, epsilon): paper-literal
+    takes j iff levels[j] < ceil(v_j / epsilon) - 1, net-gain iff
+    levels[j] >= floor(v_j / epsilon).  Any other valuation enumerates
+    bundles (``brute_force_demand``), so ``DEMAND_ENUM_CAP`` binds only
+    non-additive valuations.
     """
 
     def __init__(self, valuations: Mapping[int, object], policy: str = "net-gain"):
@@ -328,11 +303,7 @@ def wipd_run(
 
 def device_utility(payment: Numeric, v_of_allocated: Numeric, allocated: bool) -> Fraction:
     """Auction utility: payment minus valuation of the assigned bundle."""
-    if as_fraction(payment) < 0:
-        raise DomainError("payment must be non-negative")
-    if not allocated:
-        return Fraction(0)
-    return as_fraction(payment) - as_fraction(v_of_allocated)
+    return notifier_utility(v_of_allocated, payment, allocated)
 
 
 # --- gross substitutes ----------------------------------------------------

@@ -99,7 +99,7 @@ def _load_valuations(path: str, num_tasks: int) -> dict[int, auction.AdditiveVal
             int(d): auction.AdditiveValuation({int(t): v for t, v in per.items()})
             for d, per in json.loads(text).items()
         }
-    except (ValueError, AttributeError, DomainError) as exc:
+    except (ValueError, AttributeError, DomainError, RecursionError) as exc:
         raise ConfigError(f"{path}: expected {{device: {{task: value}}}} JSON: {exc}") from None
     for d, val in vals.items():
         if any(not 0 <= t < num_tasks for t in val.per_task):

@@ -24,6 +24,10 @@ class NotifyModel:
     def __post_init__(self):
         if self.degree < 0:
             raise DomainError(f"degree must be non-negative, got {self.degree}")
+        try:
+            float(self.degree)
+        except OverflowError:
+            raise DomainError("degree is too large to convert to a float") from None
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"p must lie in [0, 1], got {self.p}")
 
@@ -87,6 +91,10 @@ def lemma1_bound(degree: int) -> float:
     """
     if degree <= 2:
         raise DomainError(f"lemma1_bound requires degree > 2, got {degree}")
+    try:
+        float(degree)
+    except OverflowError:
+        raise DomainError("degree is too large to convert to a float") from None
     return tail_at(math.sqrt(degree * math.log(degree)))
 
 

@@ -218,9 +218,9 @@ def _quality_fixture(config: ExperimentConfig, devices: list[int], r: int):
     for batch, entry in enumerate(scripts):
         for rev in deviators.intersection(entry.reviewers):
             alpha = true_peaks[(batch, rev)]
-            favorite = min(entry.eta, key=lambda d: (abs(entry.positions[d] - alpha), d))
+            favorite = quality.select_quality([(d, entry.positions[d]) for d in entry.eta], alpha)
             reports[(batch, rev)] = entry.positions[favorite]
-    return scripts, quality.ScriptedPeaks(reports), true_peaks, sorted(deviators)
+    return scripts, quality.ScriptedPeaks(reports), true_peaks, deviators
 
 
 def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> dict:
@@ -237,7 +237,7 @@ def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> 
     return {
         "ordered": list(ranking.ordered),
         "batches": len(ranking.batches),
-        "deviators": deviators,
+        "deviators": sorted(deviators),
         "mean_regret": sum(regrets) / len(regrets) if regrets else 0.0,
         "mean_deviator_regret": (
             sum(deviator_regrets) / len(deviator_regrets) if deviator_regrets else 0.0
@@ -285,15 +285,10 @@ def _run_greedy_round(config: ExperimentConfig, r: int) -> dict:
         for d, (bundle, bid) in requests.items()
     }
     outcome = auction.greedy_baseline(reported, num_tasks=config.num_tasks)
-    total_utility = sum(
-        (outcome.payments[d] - requests[d][1] for d in outcome.allocation),
-        Fraction(0),
-    )
-    deviator_utility = sum(
-        (outcome.payments[d] - requests[d][1] for d in outcome.allocation
-         if d in deviators),
-        Fraction(0),
-    )
+    utilities = {d: auction.device_utility(outcome.payments[d], requests[d][1], True)
+                 for d in outcome.allocation}
+    total_utility = sum(utilities.values(), Fraction(0))
+    deviator_utility = sum((u for d, u in utilities.items() if d in deviators), Fraction(0))
     return {
         "winners": sorted(outcome.allocation),
         "deviators": deviators,

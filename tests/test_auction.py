@@ -12,7 +12,6 @@ from crowdtier import (
     ScriptedOracle,
     TableValuation,
     TerminationError,
-    additive_demand,
     brute_force_demand,
     device_utility,
     greedy_baseline,
@@ -101,6 +100,8 @@ class TestValuations:
         '{"0": [{"subset": [0], "value": "lots"}]}',
         '{"0": 5}',
         "[1, 2]",
+        # Nested deeper than json.loads recurses.
+        pytest.param("[" * 100_000, id="nested"),
     ])
     def test_table_from_json_malformed_is_config_error(self, text):
         with pytest.raises(ConfigError):
@@ -155,8 +156,6 @@ class TestBruteForceDemand:
     def test_unknown_policy(self):
         with pytest.raises(ConfigError):
             brute_force_demand(AdditiveValuation({}), frozenset(), (), 1, "x")
-        with pytest.raises(ConfigError):
-            additive_demand(AdditiveValuation({}), frozenset(), (), 1, "x")
 
     def test_oracle_rejects_unknown_policy_at_construction(self):
         with pytest.raises(ConfigError, match="policy"):

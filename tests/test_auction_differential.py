@@ -1,15 +1,18 @@
 """Differential test of per-task additive demand against bundle enumeration.
 
 ``brute_force_demand`` scores every bundle of unheld tasks and is the
-reference.  ``additive_demand`` must return the same bundle on every
-query, and a whole ``wipd_run`` driven by it must match one driven by
-enumeration: allocation, prices, payments, rounds and every trace entry,
-or the same trace when the auction does not settle.
+reference.  For an additive valuation ``BruteForceOracle`` answers task by
+task instead: paper-literal takes task j iff p_j + epsilon < v_j, net-gain
+iff p_j + epsilon > v_j, and a task with no listed value is worth 0.  It
+must return the enumerator's bundle on every query, and a whole
+``wipd_run`` driven by it must match one driven by enumeration:
+allocation, prices, payments, rounds and every trace entry, or the same
+trace when the auction does not settle.
 
-Values and prices are drawn on a grid of sixths, and every epsilon is a
-multiple of 1/6, so a price plus epsilon often equals a value exactly:
-the tie that the smallest-bundle rule must resolve by leaving the task.
-The single-query tests also place a quarter of their values on such ties.
+Values are drawn on a grid of sixths, and every epsilon is a multiple of
+1/6, so a price plus epsilon often equals a value exactly: the tie that
+the smallest-bundle rule must resolve by leaving the task.  The
+single-query test also places a quarter of its values on such ties.
 ``BruteForceOracle`` sees integer price levels (price = level * epsilon),
 so its queries are drawn on that grid.
 """
@@ -23,7 +26,6 @@ from crowdtier import (
     AdditiveValuation,
     BruteForceOracle,
     TerminationError,
-    additive_demand,
     brute_force_demand,
     wipd_run,
 )
@@ -55,23 +57,6 @@ def sixths(rng: random.Random, hi: int) -> Fraction:
 def random_valuation(rng: random.Random, m: int, hi: int) -> AdditiveValuation:
     """Values on [0, hi] in sixths; about one task in five has no entry."""
     return AdditiveValuation({t: sixths(rng, hi) for t in range(m) if rng.random() < 0.8})
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("eps", EPSILONS, ids=str)
-def test_demand_query_matches_enumeration(policy, eps):
-    rng = random.Random(f"query:{policy}:{eps}")
-    for _ in range(60):
-        m = rng.randint(0, 10)
-        prices = tuple(sixths(rng, 8) for _ in range(m))
-        # A quarter of the values sit exactly at price plus epsilon.
-        valuation = AdditiveValuation({
-            t: prices[t] + eps if rng.random() < 0.25 else sixths(rng, 8)
-            for t in range(m) if rng.random() < 0.8
-        })
-        holdings = frozenset(t for t in range(m) if rng.random() < 0.3)
-        expected = brute_force_demand(valuation, holdings, prices, eps, policy)
-        assert additive_demand(valuation, holdings, prices, eps, policy) == expected
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -8,12 +8,13 @@ six-device example files; other file names are written into the case's
 working directory from ``FILES``.
 """
 
+import argparse
 import math
 import pathlib
 
 import pytest
 
-from crowdtier.cli import main
+from crowdtier.cli import build_parser, main
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -32,6 +33,8 @@ FILES = {
     "vals_list.json": b"[1, 2]",
     "vals_task_range.json": b'{"0": {"7": 3}}',
     "vals_null.json": b'{"0": {"1": null}}',
+    # Nested deeper than json.loads recurses.
+    "vals_nested.json": b"[" * 100_000,
 }
 
 TIER1 = "tenm --graph {graph} --budget 12"
@@ -59,6 +62,7 @@ CASES = [
     "wipd --valuations vals_list.json",
     "wipd --valuations vals_task_range.json",
     "wipd --valuations vals_null.json",
+    "wipd --valuations vals_nested.json",
     # Missing --graph: the flag, or the file it names.
     "tenm --budget 12",
     "graph-info --graph no_such_file",
@@ -110,6 +114,9 @@ CASES = [
     "estimate --degree 4 --estimator chernoff --kappa -1",
     # e^500 / 0.5^500 is beyond the largest float.
     "estimate --degree 1000 --p 1 --estimator chernoff --kappa -0.5",
+    # 2^1024 is a valid integer degree that no float can hold.
+    *(f"estimate --degree {2**1024} --estimator {estimator}"
+      for estimator in ("expected", "at-least-one", "chernoff", "lemma1")),
     # Probabilities lie in [0, 1].
     "estimate --degree 4 --p -1",
     "estimate --degree 4 --p 2",
@@ -145,6 +152,38 @@ def test_malformed_input_is_one_error_line(line, tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err
     errors = [row for row in captured.err.splitlines() if row.startswith("error:")]
     assert len(errors) == 1, captured.err
+
+
+# Out-of-kind values for every typed flag of every subcommand.
+TYPED_VALUES = ["-1", "0", "1.5", "2", "x", "nan", "inf", "-inf", "1e999", "-0.1"]
+
+
+def test_every_rejected_typed_flag_value_is_one_error_line(capsys):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    checked = 0
+    for sub, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.type is None or not action.option_strings:
+                continue
+            flag = action.option_strings[0]
+            for value in TYPED_VALUES:
+                try:
+                    action.type(value)
+                    continue
+                except (argparse.ArgumentTypeError, ValueError):
+                    pass
+                code = main([sub, flag, value])
+                captured = capsys.readouterr()
+                context = f"{sub} {flag} {value}: {captured.err}"
+                assert code == 1, context
+                assert captured.out == "", context
+                errors = [row for row in captured.err.splitlines() if row.startswith("error:")]
+                assert len(errors) == 1, context
+                checked += 1
+    # A floor, so the walk cannot silently test nothing.
+    assert checked >= 250
 
 
 # Valid input whose direct evaluation overflows a float: each prints one

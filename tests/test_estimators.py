@@ -28,6 +28,11 @@ class TestNotifyModel:
         with pytest.raises(DomainError):
             NotifyModel(3, 1.5)
 
+    def test_degree_beyond_float_range(self):
+        assert NotifyModel(2**1023, 0.5).degree == 2**1023
+        with pytest.raises(DomainError, match="float"):
+            NotifyModel(2**1024, 0.5)
+
 
 class TestExpectedNotified:
     def test_half_probability_notifies_half(self):
@@ -134,6 +139,11 @@ class TestLemma1:
         assert lemma1_bound(100_000) == 0.0
         assert tail_at(2000.0) == 0.0
         assert tail_at(1e308) == 0.0
+
+    def test_degree_beyond_float_range(self):
+        assert lemma1_bound(2**1023) == 0.0
+        with pytest.raises(DomainError, match="float"):
+            lemma1_bound(2**1024)
 
     def test_tail_monotone_decreasing_beyond_e(self):
         values = [tail_at(t) for t in (3.0, 4.0, 6.0, 10.0)]
