@@ -17,6 +17,7 @@ from .errors import ConfigError, DomainError, InvariantError, TerminationError
 from .notifier import Numeric, as_fraction, notifier_utility
 
 DEMAND_ENUM_CAP = 20
+DEMAND_POLICIES = ("paper-literal", "net-gain")
 
 
 # --- valuations -----------------------------------------------------------
@@ -99,7 +100,7 @@ def brute_force_demand(
     m = len(prices)
     if m > DEMAND_ENUM_CAP:
         raise ConfigError(f"demand enumeration capped at {DEMAND_ENUM_CAP} tasks, got {m}")
-    if policy not in ("net-gain", "paper-literal"):
+    if policy not in DEMAND_POLICIES:
         raise ConfigError(f"unknown demand policy {policy!r}")
     eps = as_fraction(epsilon)
     free = [t for t in range(m) if t not in holdings]
@@ -138,7 +139,7 @@ class BruteForceOracle:
     """
 
     def __init__(self, valuations: Mapping[int, object], policy: str = "net-gain"):
-        if policy not in ("net-gain", "paper-literal"):
+        if policy not in DEMAND_POLICIES:
             raise ConfigError(f"unknown demand policy {policy!r}")
         self.valuations = dict(valuations)
         self.policy = policy
@@ -180,7 +181,7 @@ class ScriptedOracle:
             (r, d): frozenset(tasks) for (r, d), tasks in script.items()
         }
 
-    def demand(self, device, holdings, prices, epsilon, round_index) -> frozenset[int]:
+    def demand(self, device, holdings, levels, epsilon, round_index) -> frozenset[int]:
         return self.script.get((round_index, device), frozenset())
 
     def max_rounds_hint(self, num_tasks: int, epsilon: Fraction) -> int:

@@ -10,7 +10,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 
 from . import auction, estimators, harness
 from .errors import (
@@ -33,6 +35,10 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
 
+
+# _parse_range and _number are argparse ``type=`` callables too.  They raise
+# ConfigError, which argparse does not wrap, so main prints their message
+# alone as the one ``error:`` line.
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
@@ -133,12 +139,11 @@ def _dense_costs(graph: SocialGraph, args) -> dict[int, Numeric]:
         if missing:
             raise ConfigError(f"cost file lacks nodes {sorted(missing)[:5]}")
         return {dense: by_label[label] for label, dense in graph.id_map.items()}
-    lo, hi = _parse_range(args.cost_range)
-    return harness.uniform_costs(range(graph.n), lo, hi, stream("costs", args.seed))
+    return harness.uniform_costs(range(graph.n), *args.cost_range, stream("costs", args.seed))
 
 
 def _cmd_graph_info(args) -> int:
-    graph = load_edge_list(args.graph)
+    graph = load_edge_list(args.graph_path)
     degrees = [graph.degree(i) for i in range(graph.n)] or [0]
     _emit(
         {
@@ -154,22 +159,21 @@ def _cmd_graph_info(args) -> int:
 
 
 def _cmd_tier1(args) -> int:
-    graph = load_edge_list(args.graph)
+    graph = load_edge_list(args.graph_path)
     costs = _dense_costs(graph, args)
-    budget = _number(args.budget, "--budget")
-    delta = _number(args.delta, "--delta") if args.command == "tenm" else None
-    outcome = harness.run_tier1(args.command, graph, costs, budget, delta)
+    outcome = harness.run_tier1(args.command, graph, costs, args.budget,
+                                getattr(args, "delta", None))
 
     label = {dense: orig for orig, dense in graph.id_map.items()}
     _emit(
         {
             "mechanism": outcome.mechanism,
-            "budget": budget,
+            "budget": args.budget,
             "selected": [label[i] for i in outcome.selected],
             "payments": {label[i]: p for i, p in outcome.payments.items()},
             "total_payment": outcome.total_payment,
             "notified": sorted(label[i] for i in outcome.notified),
-            "budget_feasible": outcome.total_payment <= budget,
+            "budget_feasible": outcome.total_payment <= args.budget,
         },
         args,
     )
@@ -198,13 +202,11 @@ def _cmd_wipd(args) -> int:
     if args.valuations:
         vals = _load_valuations(args.valuations, args.num_tasks)
     else:
-        lo, hi = _parse_range(args.val_range)
-        vals = harness.additive_values(stream("valuations", args.seed), args.bidders,
-                                       args.num_tasks, lo, hi)
+        vals = harness.additive_values(stream("valuations", args.seed), args.num_bidders,
+                                       args.num_tasks, *args.val_range)
     oracle = auction.BruteForceOracle(vals, policy=args.policy)
     outcome = auction.wipd_run(
-        args.num_tasks, list(vals), oracle, _number(args.epsilon, "--epsilon"),
-        max_rounds=args.max_rounds,
+        args.num_tasks, list(vals), oracle, args.epsilon, max_rounds=args.max_rounds,
     )
     _emit(
         {
@@ -220,9 +222,8 @@ def _cmd_wipd(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
-    lo, hi = _parse_range(args.val_range)
-    requests = harness.bundle_requests(stream("requests", args.seed), args.bidders,
-                                       args.num_tasks, lo, hi)
+    requests = harness.bundle_requests(stream("requests", args.seed), args.num_bidders,
+                                       args.num_tasks, *args.val_range)
     outcome = auction.greedy_baseline(requests, num_tasks=args.num_tasks)
     _emit(
         {
@@ -261,42 +262,62 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cost_lo, cost_hi = _parse_range(args.cost_range)
-    val_lo, val_hi = _parse_range(args.val_range)
-    config = ExperimentConfig(
-        mechanism=args.mechanism,
-        graph_path=args.graph,
-        synthetic_n=args.n,
-        edge_prob=args.edge_prob,
-        cost_lo=cost_lo,
-        cost_hi=cost_hi,
-        budget=_number(args.budget, "--budget"),
-        delta=_number(args.delta, "--delta"),
-        epsilon=_number(args.epsilon, "--epsilon"),
-        seed=args.seed,
-        rounds=args.rounds,
-        deviation_frac=args.deviation_frac,
-        deviation_delta=args.deviation_delta,
-        dist=args.dist,
-        mu=args.mu,
-        sigma=args.sigma,
-        f=args.f,
-        g=args.g,
-        num_tasks=args.num_tasks,
-        num_bidders=args.bidders,
-        val_lo=val_lo,
-        val_hi=val_hi,
-    )
-    report = harness.run_experiment(config)
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if hasattr(args, f.name)}
+    given["cost_lo"], given["cost_hi"] = args.cost_range
+    given["val_lo"], given["val_hi"] = args.val_range
+    report = harness.run_experiment(ExperimentConfig(**given))
     _write(report.to_json() if args.format == "json" else report.to_csv(), args)
     return 0
 
 
-def _add_output_flags(p: _Parser, seed: bool = True) -> None:
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
+# Every flag, stated once.  A flag whose dest is an ExperimentConfig field
+# defaults to that field's default.
+_FLAGS = {
+    "--mechanism": dict(required=True, choices=harness.MECHANISMS),
+    "--graph": dict(dest="graph_path", metavar="GRAPH"),
+    "--n": dict(type=_positive_int, dest="synthetic_n", metavar="N"),
+    "--edge-prob": dict(type=_probability),
+    "--budget": dict(type=partial(_number, flag="--budget")),
+    "--delta": dict(type=partial(_number, flag="--delta")),
+    "--epsilon": dict(type=partial(_number, flag="--epsilon")),
+    "--costs": dict(help="CSV of node_id,cost"),
+    "--cost-range": dict(type=_parse_range,
+                         default=(ExperimentConfig.cost_lo, ExperimentConfig.cost_hi)),
+    "--val-range": dict(type=_parse_range,
+                        default=(ExperimentConfig.val_lo, ExperimentConfig.val_hi)),
+    "--rounds": dict(type=_positive_int),
+    "--deviation-frac": dict(type=_probability),
+    "--deviation-delta": dict(type=_positive_int),
+    "--devices": dict(type=_positive_int, default=12),
+    "--dist": dict(choices=harness.DISTRIBUTIONS),
+    "--mu": dict(type=_finite_float),
+    "--sigma": dict(type=_non_negative_float),
+    "--f": dict(type=_positive_int),
+    "--g": dict(type=_positive_int),
+    "--num-tasks": dict(type=_positive_int),
+    "--bidders": dict(type=_positive_int, dest="num_bidders", metavar="BIDDERS"),
+    "--valuations": dict(help="JSON of device -> {task: value}"),
+    "--policy": dict(choices=auction.DEMAND_POLICIES, default="paper-literal"),
+    "--max-rounds": dict(type=_positive_int),
+    "--degree": dict(type=_non_negative_int, required=True),
+    "--p": dict(type=_probability, default=0.5),
+    "--kappa": dict(type=_finite_float, default=1.0),
+    "--estimator": dict(choices=("expected", "at-least-one", "chernoff", "lemma1"),
+                        default="expected"),
+    "--out": dict(help="write the report here instead of stdout"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--seed": dict(type=int),
+}
+
+
+def _add_flags(p: _Parser, flags: str, **override) -> None:
+    """Add the named ``_FLAGS`` entries to ``p``, each updated by ``override``."""
+    for flag in flags.split():
+        spec = {**_FLAGS[flag], **override}
+        dest = spec.setdefault("dest", flag[2:].replace("-", "_"))
+        spec.setdefault("default", getattr(ExperimentConfig, dest, None))
+        p.add_argument(flag, **spec)
 
 
 def build_parser() -> _Parser:
@@ -304,8 +325,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("graph-info", help="summarize an edge-list graph")
-    p.add_argument("--graph", required=True)
-    _add_output_flags(p, seed=False)
+    _add_flags(p, "--graph", required=True)
+    _add_flags(p, "--out --format")
     p.set_defaults(func=_cmd_graph_info)
 
     for name, desc in (
@@ -314,13 +335,10 @@ def build_parser() -> _Parser:
         ("psm", "proportional share baseline"),
     ):
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--graph", required=True)
-        p.add_argument("--budget", required=True)
-        if name == "tenm":
-            p.add_argument("--delta", default="2")
-        p.add_argument("--costs", default=None, help="CSV of node_id,cost")
-        p.add_argument("--cost-range", default="20:50", help="LO:HI for generated costs")
-        _add_output_flags(p)
+        _add_flags(p, "--graph --budget", required=True)
+        _add_flags(p, "--delta --costs" if name == "tenm" else "--costs")
+        _add_flags(p, "--cost-range", help="LO:HI for generated costs")
+        _add_flags(p, "--out --format --seed")
         p.set_defaults(func=_cmd_tier1)
 
     for name, desc in (
@@ -328,66 +346,26 @@ def build_parser() -> _Parser:
         ("avr", "mean-aggregated quality baseline"),
     ):
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--devices", type=_positive_int, default=12)
-        p.add_argument("--f", type=_positive_int, default=3)
-        p.add_argument("--g", type=_positive_int, default=3)
-        p.add_argument("--dist", choices=("uniform", "normal"), default="uniform")
-        p.add_argument("--mu", type=_finite_float, default=0.6)
-        p.add_argument("--sigma", type=_non_negative_float, default=0.3)
-        _add_output_flags(p)
+        _add_flags(p, "--devices --f --g --dist --mu --sigma --out --format --seed")
         p.set_defaults(func=_cmd_quality)
 
     p = sub.add_parser("wipd", help="ascending epsilon-increment task auction")
-    p.add_argument("--num-tasks", type=_positive_int, default=6)
-    p.add_argument("--bidders", type=_positive_int, default=3)
-    p.add_argument("--val-range", default="30:45")
-    p.add_argument("--valuations", default=None, help="JSON of device -> {task: value}")
-    p.add_argument("--epsilon", default="1")
-    p.add_argument("--policy", choices=("paper-literal", "net-gain"), default="paper-literal")
-    p.add_argument("--max-rounds", type=_positive_int, default=None)
-    _add_output_flags(p)
+    _add_flags(p, "--num-tasks --bidders --val-range --valuations --epsilon --policy"
+                  " --max-rounds --out --format --seed")
     p.set_defaults(func=_cmd_wipd)
 
     p = sub.add_parser("greedy", help="pay-as-bid greedy task baseline")
-    p.add_argument("--num-tasks", type=_positive_int, default=6)
-    p.add_argument("--bidders", type=_positive_int, default=3)
-    p.add_argument("--val-range", default="30:45")
-    _add_output_flags(p)
+    _add_flags(p, "--num-tasks --bidders --val-range --out --format --seed")
     p.set_defaults(func=_cmd_greedy)
 
     p = sub.add_parser("estimate", help="closed-form notification estimators")
-    p.add_argument("--degree", type=_non_negative_int, required=True)
-    p.add_argument("--p", type=_probability, default=0.5)
-    p.add_argument("--kappa", type=_finite_float, default=1.0)
-    p.add_argument(
-        "--estimator",
-        choices=("expected", "at-least-one", "chernoff", "lemma1"),
-        default="expected",
-    )
-    _add_output_flags(p, seed=False)
+    _add_flags(p, "--degree --p --kappa --estimator --out --format")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("experiment", help="multi-round experiment harness")
-    p.add_argument("--mechanism", required=True, choices=harness.MECHANISMS)
-    p.add_argument("--graph", default=None)
-    p.add_argument("--n", type=_positive_int, default=50)
-    p.add_argument("--edge-prob", type=_probability, default=0.3)
-    p.add_argument("--budget", default="1000")
-    p.add_argument("--delta", default="2")
-    p.add_argument("--epsilon", default="1")
-    p.add_argument("--cost-range", default="20:50")
-    p.add_argument("--val-range", default="30:45")
-    p.add_argument("--rounds", type=_positive_int, default=5)
-    p.add_argument("--deviation-frac", type=_probability, default=0.0)
-    p.add_argument("--deviation-delta", type=_positive_int, default=5)
-    p.add_argument("--dist", choices=("uniform", "normal"), default="uniform")
-    p.add_argument("--mu", type=_finite_float, default=0.6)
-    p.add_argument("--sigma", type=_non_negative_float, default=0.3)
-    p.add_argument("--f", type=_positive_int, default=3)
-    p.add_argument("--g", type=_positive_int, default=3)
-    p.add_argument("--num-tasks", type=_positive_int, default=6)
-    p.add_argument("--bidders", type=_positive_int, default=3)
-    _add_output_flags(p)
+    _add_flags(p, "--mechanism --graph --n --edge-prob --budget --delta --epsilon --cost-range"
+                  " --val-range --rounds --deviation-frac --deviation-delta --dist --mu --sigma"
+                  " --f --g --num-tasks --bidders --out --format --seed")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -28,6 +28,7 @@ TIER1 = ("tenm", "ntbfm", "psm")
 TIER2_QUALITY = ("ectai", "avr")
 TIER2_AUCTION = ("wipd", "greedy")
 MECHANISMS = TIER1 + TIER2_QUALITY + TIER2_AUCTION
+DISTRIBUTIONS = ("uniform", "normal")
 
 
 def stream(*key) -> random.Random:
@@ -74,7 +75,7 @@ class ExperimentConfig:
             raise ConfigError("edge probability must lie in [0, 1]")
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")
-        if self.dist not in ("uniform", "normal"):
+        if self.dist not in DISTRIBUTIONS:
             raise ConfigError(f"unknown distribution {self.dist!r}")
         if not (math.isfinite(self.mu) and 0 <= self.sigma < math.inf):
             raise ConfigError("peaks need a finite mu and a finite sigma >= 0")
@@ -82,8 +83,7 @@ class ExperimentConfig:
                      "deviation_delta"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if as_fraction(self.budget) <= 0:
-            raise ConfigError("budget must be positive")
+        notifier.positive_budget(self.budget)
         if as_fraction(self.epsilon) <= 0:
             raise ConfigError("epsilon must be positive")
 
@@ -176,16 +176,10 @@ def _run_tier1_round(config: ExperimentConfig, graph: SocialGraph, r: int) -> di
         reported[d] = max(1, reported[d] - config.deviation_delta)
 
     outcome = run_tier1(config.mechanism, graph, reported, config.budget, config.delta)
-    total_utility = sum(
-        (notifier.notifier_utility(true_costs[i], outcome.payments[i], True)
-         for i in outcome.selected),
-        Fraction(0),
-    )
-    deviator_utility = sum(
-        (notifier.notifier_utility(true_costs[i], outcome.payments[i], True)
-         for i in outcome.selected if i in deviators),
-        Fraction(0),
-    )
+    utilities = {i: notifier.notifier_utility(true_costs[i], outcome.payments[i], True)
+                 for i in outcome.selected}
+    total_utility = sum(utilities.values(), Fraction(0))
+    deviator_utility = sum((utilities[d] for d in deviators if d in utilities), Fraction(0))
     return {
         "winners": len(outcome.selected),
         "selected": list(outcome.selected),

@@ -49,6 +49,14 @@ def as_fraction(x: Numeric) -> Fraction:
         raise DomainError(f"not a finite rational number: {x!r}") from None
 
 
+def positive_budget(budget: Numeric) -> Fraction:
+    """The budget as an exact rational; ConfigError unless it is positive."""
+    budget = as_fraction(budget)
+    if budget <= 0:
+        raise ConfigError("budget must be positive")
+    return budget
+
+
 @dataclass
 class NotifierOutcome:
     """Result of a tier-1 mechanism run.
@@ -225,10 +233,8 @@ def nam_select(
     violation, or an argmax with zero marginal, stops the run.  Returns
     the selected list in greedy order and the notified set.
     """
-    budget = as_fraction(budget)
+    budget = positive_budget(budget)
     delta = as_fraction(delta)
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
     if delta <= 0:
         raise ConfigError("delta must be positive")
     if graph.n == 0:
@@ -274,9 +280,7 @@ def npm_prices(
 
     Raises DomainError on an unknown, non-integer or repeated node id.
     """
-    budget = as_fraction(budget)
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
+    budget = positive_budget(budget)
     scaled, scale = _scaled_costs(graph.n, costs)
     for j in selected:
         graph._check(j)
@@ -339,9 +343,7 @@ def ntbfm(
     """Pay-as-bid baseline: one static sort by initial marginal per cost,
     then a scan that selects while the reported cost fits the remaining
     budget and terminates at the first that does not."""
-    budget = as_fraction(budget)
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
+    budget = positive_budget(budget)
     if graph.n == 0:
         return NotifierOutcome("ntbfm", [], frozenset(), {}, budget)
     cost = _cost_map(graph.n, costs)
@@ -377,9 +379,7 @@ def psm(
     min(B/k, c_{k+1}); with no loser the payment is B/k.  The graph is
     ignored by the rule and only used to report the notified set.
     """
-    budget = as_fraction(budget)
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
+    budget = positive_budget(budget)
     if not costs:
         raise DomainError("psm requires at least one cost")
     cost = {i: as_fraction(c) for i, c in costs.items()}

@@ -15,6 +15,7 @@ import pathlib
 import pytest
 
 from crowdtier.cli import build_parser, main
+from crowdtier.errors import CrowdtierError
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -35,6 +36,7 @@ FILES = {
     "vals_null.json": b'{"0": {"1": null}}',
     # Nested deeper than json.loads recurses.
     "vals_nested.json": b"[" * 100_000,
+    "vals_ok.json": b'{"0": {"0": 5, "1": 7}, "1": {"0": 6}}',
 }
 
 TIER1 = "tenm --graph {graph} --budget 12"
@@ -80,6 +82,9 @@ CASES = [
     "wipd --epsilon 0",
     "experiment --mechanism wipd --epsilon -1",
     TIER1 + " --cost-range 50:20",
+    # A malformed value is rejected even where the command ignores it.
+    TIER1 + " --costs {costs} --cost-range 50:20",
+    "wipd --valuations vals_ok.json --val-range 9:1",
     TIER1 + " --cost-range a:b",
     TIER1 + " --cost-range 0:5",
     "experiment --mechanism ntbfm --cost-range 5",
@@ -172,7 +177,7 @@ def test_every_rejected_typed_flag_value_is_one_error_line(capsys):
                 try:
                     action.type(value)
                     continue
-                except (argparse.ArgumentTypeError, ValueError):
+                except (argparse.ArgumentTypeError, ValueError, CrowdtierError):
                     pass
                 code = main([sub, flag, value])
                 captured = capsys.readouterr()
@@ -183,7 +188,7 @@ def test_every_rejected_typed_flag_value_is_one_error_line(capsys):
                 assert len(errors) == 1, context
                 checked += 1
     # A floor, so the walk cannot silently test nothing.
-    assert checked >= 250
+    assert checked >= 380
 
 
 # Valid input whose direct evaluation overflows a float: each prints one

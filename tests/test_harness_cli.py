@@ -189,6 +189,12 @@ class TestCli:
         assert lines[0] == "round,mechanism,metric,value"
         assert all(line.split(",")[1] == "psm" for line in lines[1:])
 
+    @pytest.mark.parametrize("mechanism", harness.MECHANISMS)
+    def test_experiment_defaults_are_the_config_defaults(self, capsys, mechanism):
+        assert main(["experiment", "--mechanism", mechanism, "--rounds", "1"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == ExperimentConfig(mechanism, rounds=1).to_dict()
+
     def test_quality_cli(self, capsys):
         code = main(["ectai", "--devices", "12", "--f", "3", "--g", "3",
                      "--seed", "2"])
