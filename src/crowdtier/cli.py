@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import auction, estimators, harness
 from .errors import (
@@ -320,7 +320,10 @@ def _add_flags(p: _Parser, flags: str, **override) -> None:
         p.add_argument(flag, **spec)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The ``crowdtier`` parser, built once per process: building it is
+    mostly argparse's help-string lookups, and parsing leaves it unchanged."""
     parser = _Parser(prog="crowdtier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -104,7 +105,7 @@ class ScriptedPeaks:
                 ) from None
         return cls(reports)
 
-    def sample(self, batch: int, reviewer: int, rng: random.Random) -> float:
+    def sample(self, batch: int, reviewer: int, rng: random.Random | None) -> float:
         try:
             return self.reports[(batch, reviewer)]
         except KeyError:
@@ -169,7 +170,20 @@ def plan_batches(
     """Batch scripts until each device is ranked once, and the reviewers'
     peaks keyed by (batch, reviewer).  Batch b draws from ``batch_rng(b)``
     its f ranked devices, g reviewers from outside the panel (ranked
-    devices stay eligible), the panel's positions, then the peaks."""
+    devices stay eligible), the panel's positions, then the peaks.
+
+    Reviewers are sampled as indices into the pool of sorted devices less
+    the panel, and the pool itself is never built.  ``random.sample``
+    reads its population only through its length and by position (by
+    indexing, or by ``list()`` when it is small), and its random draws
+    depend on ``(len(population), k)`` alone, so sampling
+    ``range(len(pool))`` takes the same draws from the stream as sampling
+    the pool.  Pool index j maps back to ``devices`` by stepping past each
+    panel position at or below it, in ascending order; the map is
+    increasing, so sorted indices give sorted reviewers.  ``unranked`` is
+    one sorted list that drops the panel in place, so each panel draw sees
+    the same devices in the same order, and no batch copies the population.
+    """
     devices = sorted(set(devices))
     if f < 1 or g < 1:
         raise ConfigError("f and g must be at least 1")
@@ -177,19 +191,26 @@ def plan_batches(
         raise ConfigError(f"f + g = {f + g} exceeds the {len(devices)} available devices")
     scripts: list[BatchScript] = []
     peaks: dict[tuple[int, int], float] = {}
-    unranked = devices
+    unranked = list(devices)
     while unranked:
         batch = len(scripts)
         rng = batch_rng(batch)
         eta = sorted(rng.sample(unranked, min(f, len(unranked))))
-        chosen = set(eta)
-        pool = [d for d in devices if d not in chosen]
-        reviewers = sorted(rng.sample(pool, g))
+        skip = [bisect_left(devices, d) for d in eta]
+        reviewers = []
+        for j in sorted(rng.sample(range(len(devices) - len(eta)), g)):
+            for p in skip:
+                if p <= j:
+                    j += 1
+                else:
+                    break
+            reviewers.append(devices[j])
         positions = {d: rng.random() for d in eta}
         for r in reviewers:
             peaks[(batch, r)] = peak_source.sample(batch, r, rng)
         scripts.append(BatchScript(tuple(eta), tuple(reviewers), positions))
-        unranked = [d for d in unranked if d not in chosen]
+        for d in eta:
+            del unranked[bisect_left(unranked, d)]
     return scripts, peaks
 
 
@@ -211,6 +232,8 @@ def _run_batches(
     elif f < 1 or g < 1:
         raise ConfigError("f and g must be at least 1")
 
+    # A scripted source ignores the stream, so a replay from one seeds none.
+    draws = not isinstance(peak_source, ScriptedPeaks)
     unranked = set(devices)
     result = QualityRanking()
     for batch, entry in enumerate(script):
@@ -224,7 +247,7 @@ def _run_batches(
             raise ConfigError(f"scripted batch {batch} has reviewers inside the ranked panel")
 
         panel = [(d, entry.positions[d]) for d in eta]
-        rng = _batch_rng(seed, batch)
+        rng = _batch_rng(seed, batch) if draws else None
         reports = {r: peak_source.sample(batch, r, rng) for r in reviewers}
         for r, a in reports.items():
             if not 0.0 <= a <= 1.0:

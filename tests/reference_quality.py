@@ -1,0 +1,37 @@
+"""Test-only reference for tier-2 batch planning.
+
+This is the straightforward ``plan_batches`` the package shipped before it
+drew reviewers by index: every batch copies the population into a fresh
+``pool`` list for ``rng.sample`` and rebuilds ``unranked`` without the
+panel, O(n) per batch.  The differential tests compare the package
+against it.
+"""
+
+from __future__ import annotations
+
+from crowdtier.errors import ConfigError
+from crowdtier.quality import BatchScript
+
+
+def plan_batches(devices, f, g, peak_source, batch_rng):
+    devices = sorted(set(devices))
+    if f < 1 or g < 1:
+        raise ConfigError("f and g must be at least 1")
+    if f + g > len(devices):
+        raise ConfigError(f"f + g = {f + g} exceeds the {len(devices)} available devices")
+    scripts: list[BatchScript] = []
+    peaks: dict[tuple[int, int], float] = {}
+    unranked = devices
+    while unranked:
+        batch = len(scripts)
+        rng = batch_rng(batch)
+        eta = sorted(rng.sample(unranked, min(f, len(unranked))))
+        chosen = set(eta)
+        pool = [d for d in devices if d not in chosen]
+        reviewers = sorted(rng.sample(pool, g))
+        positions = {d: rng.random() for d in eta}
+        for r in reviewers:
+            peaks[(batch, r)] = peak_source.sample(batch, r, rng)
+        scripts.append(BatchScript(tuple(eta), tuple(reviewers), positions))
+        unranked = [d for d in unranked if d not in chosen]
+    return scripts, peaks

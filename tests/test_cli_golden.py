@@ -343,6 +343,18 @@ GOLDEN = {
         "a024e3cdb7417bae1c1e3bb925c7c6e0080898b14ca1e0bdd3e6f42145b5fc58",
     "experiment --mechanism ectai --n 5 --f 3 --g 3 --format csv":
         "b3cc7bc574548dd3e28fe245d4e44c4733d3bb5f9a5e2ee59d8837841987af1c",
+    # Pools above random.sample's set-size threshold (85 for g = 7), so the
+    # reviewer draws take its set-based branch rather than the list copy.
+    "ectai --devices 300 --f 5 --g 7 --seed 1":
+        "a280368aff8b1548c9b5bc8cf5248fa9fdf4c40a7a949828c6445ab6559a1118",
+    "avr --devices 300 --f 5 --g 7 --seed 1":
+        "4c911b334a04815df0e5199a12f57917621a20b0de1088c2a923f85066c53971",
+    "ectai --devices 150 --f 6 --g 12 --dist normal --seed 4":
+        "5e09da0a8209cff1a8fd15256e3d051d3f6000ca29d68cd1e8ee1089cc97685b",
+    "experiment --mechanism ectai --n 300 --f 5 --g 7 --rounds 1 --deviation-frac 0.2 --seed 2":
+        "1e28e66047a66451957b66e0c6e9977365a1c2b5dda088997082109acbd10e51",
+    "experiment --mechanism avr --n 300 --f 5 --g 7 --rounds 1 --deviation-frac 0.2 --seed 2":
+        "311a2bfbc6e6b7c3e4d27fb8bea8353b242cceff36531f609a2baaacda02da8c",
 }
 
 

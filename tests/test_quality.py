@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from crowdtier import (
     BatchScript,
@@ -15,6 +17,7 @@ from crowdtier import (
     median_of,
     select_quality,
 )
+from crowdtier import quality
 from crowdtier.quality import _batch_rng, plan_batches, reviewer_regret
 
 # Scripted replay of the worked four-batch example: twelve devices,
@@ -104,6 +107,25 @@ class TestScriptedReplay:
         )
         ranked = [d for b in ranking.batches for d, _ in b.panel]
         assert sorted(ranked) == list(range(1, 13))
+
+    def test_scripted_replay_seeds_no_stream(self, monkeypatch):
+        def refuse(seed, batch):
+            raise AssertionError("a scripted replay seeded a batch stream")
+
+        monkeypatch.setattr(quality, "_batch_rng", refuse)
+        ranking = ectai_run(
+            range(1, 13), 3, 5, ScriptedPeaks(EXAMPLE_REPORTS),
+            seed=0, script=EXAMPLE_SCRIPTS,
+        )
+        assert ranking.ordered == [4, 3, 10, 8]
+
+    def test_drawing_source_replay_reads_batch_stream(self):
+        ranking = ectai_run(range(1, 13), 3, 5, UniformPeaks(), seed=4,
+                            script=EXAMPLE_SCRIPTS)
+        for b, entry in enumerate(EXAMPLE_SCRIPTS):
+            rng = _batch_rng(4, b)
+            want = {r: rng.random() for r in entry.reviewers}
+            assert ranking.batches[b].reports == want
 
     def test_script_reranking_rejected(self):
         bad = [EXAMPLE_SCRIPTS[0], EXAMPLE_SCRIPTS[0]]
@@ -214,21 +236,44 @@ class TestGeneratedRuns:
                       script=scripts)
 
 
+PROPERTIES = settings(derandomize=True, deadline=None, max_examples=300)
+UNIT = st.floats(0.0, 1.0)
+
+
+def panels(counts):
+    return counts.flatmap(lambda n: st.lists(UNIT, min_size=n, max_size=n))
+
+
+def closer_misreport(panel, reports):
+    """A (reviewer, report) pair that moves ``median_of`` strictly closer to
+    that reviewer's own peak, trying ``reports``, both ends of the scale and
+    every peak in the panel, or None if there is none."""
+    base = median_of(panel)
+    for i, peak in enumerate(panel):
+        for report in (*reports, 0.0, 1.0, *panel):
+            trial = [*panel[:i], report, *panel[i + 1:]]
+            if abs(median_of(trial) - peak) < abs(base - peak):
+                return i, report
+    return None
+
+
 class TestMedianStrategyproofness:
-    def test_no_deviation_moves_median_closer(self):
-        # Single-peaked reviewers cannot pull the median toward their
-        # own peak by misreporting, at any grid report.
-        rng = random.Random(21)
-        grid = [k / 100 for k in range(101)]
-        for _ in range(100):
-            panel = [rng.random() for _ in range(rng.choice([3, 5, 7]))]
-            base = median_of(panel)
-            for i, true_peak in enumerate(panel):
-                base_gap = abs(base - true_peak)
-                for report in grid:
-                    trial = list(panel)
-                    trial[i] = report
-                    assert abs(median_of(trial) - true_peak) >= base_gap - 1e-12
+    @PROPERTIES
+    @given(panels(st.integers(0, 7).map(lambda k: 2 * k + 1)), st.lists(UNIT, max_size=8))
+    def test_no_deviation_moves_median_closer(self, panel, reports):
+        # Single-peaked reviewers cannot pull the median of an odd count
+        # toward their own peak by misreporting (Moulin 1980).
+        assert closer_misreport(panel, reports) is None
+
+    def test_even_count_admits_a_closer_misreport(self):
+        # The average of the two middle reports can be pulled toward a
+        # reviewer's peak, which is why ectai wants an odd g.  ``find``
+        # raises NoSuchExample if no even panel admits such a misreport.
+        find(
+            panels(st.integers(1, 7).map(lambda k: 2 * k)),
+            lambda panel: closer_misreport(panel, ()) is not None,
+            settings=settings(derandomize=True, database=None),
+        )
 
     def test_mean_is_manipulable(self):
         # Contrast case: the AVR mean moves toward an exaggerating reviewer.
