@@ -22,7 +22,7 @@ from . import auction, notifier, quality
 from .errors import ConfigError
 from .graph import SocialGraph, build_graph, load_edge_list
 from .notifier import Numeric, as_fraction
-from .report import MechanismReport
+from .report import MechanismReport, jsonable
 
 TIER1 = ("tenm", "ntbfm", "psm")
 TIER2_QUALITY = ("ectai", "avr")
@@ -89,10 +89,8 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = dict(self.__dict__)
-        out["budget"] = str(as_fraction(self.budget))
-        out["delta"] = str(as_fraction(self.delta))
-        out["epsilon"] = str(as_fraction(self.epsilon))
-        out["deviation_factor"] = str(as_fraction(self.deviation_factor))
+        for name in ("budget", "delta", "epsilon", "deviation_factor"):
+            out[name] = jsonable(as_fraction(out[name]))
         return out
 
 

@@ -1,15 +1,17 @@
 """Tier-1 notifier mechanisms: budget-feasible greedy selection with
 threshold payments, plus the NTBFM and PSM baselines.
 
-The greedy and its payments run on exact integers.  Each call scales the
-reported costs once: with D the lcm of their denominators, C_i = c_i * D
-is an integer, and with L = lcm(C_i) and w_i = L // C_i, the ratio
-m / c_i = m * w_i * D / L orders exactly as the integer m * w_i.  Each
-lazy-heap entry is the single int i - m * (w_i << s), with s bits for a
-node id, which orders as (-m * w_i, i); every admission test and payment
-comparison is an integer cross-multiplication, so threshold conditions
-that hold with equality are never lost to rounding, however large L
-grows.
+The greedy and its payments run on exact integers.  Each call validates
+and scales the reported costs once.  An ``int`` cost stays an ``int``,
+so for all-int costs this set-up is integer-only; any other cost takes
+one :func:`as_fraction`.  With D the lcm of the cost denominators (1 for
+ints), C_i = c_i * D is an integer, and with L = lcm(C_i) and
+w_i = L // C_i, the ratio m / c_i = m * w_i * D / L orders exactly as
+the integer m * w_i.  Each lazy-heap entry is the single int
+i - m * (w_i << s), with s bits for a node id, which orders as
+(-m * w_i, i); every admission test and payment comparison is an integer
+cross-multiplication, so threshold conditions that hold with equality
+are never lost to rounding, however large L grows.
 
 The greedy argmax uses lazy re-evaluation (CELF): a candidate's cached
 marginal only shrinks as the covered set grows, so a heap top whose
@@ -17,7 +19,12 @@ marginal is unchanged is the true argmax, and a stale top is re-keyed in
 place.  Every key is unique, so the resulting order is the argmax
 sequence with ties to the lowest id, whatever the heap's layout;
 :func:`npm_prices` relies on that to share one forward pass among all
-of its payment reruns.
+of its payment reruns.  Each greedy pass, forward or rerun, is one
+generator that also applies the admission rule.
+
+Decimal literals whose digits or exponent exceed the interpreter's
+int-to-str limit (``sys.get_int_max_str_digits()``) are rejected before
+they are built: such a number could not be printed in a report.
 """
 
 from __future__ import annotations
@@ -25,8 +32,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .errors import ConfigError, DomainError, InvariantError
@@ -34,16 +43,29 @@ from .graph import SocialGraph
 
 Numeric = int | float | Fraction
 
+# The interpreter's int-to-str digit limit, read at call time; Pythons
+# before 3.10.7 have none, which reads as 0.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 def as_fraction(x: Numeric) -> Fraction:
     """Exact rational from int/Fraction; decimal-literal reading for floats.
 
     Raises DomainError on anything that is not a finite rational number
-    (NaN, infinities, None, malformed strings).
+    (NaN, infinities, None, malformed strings), and, before building it,
+    on a decimal literal whose digit count or exponent exceeds the
+    interpreter's int-to-str limit (``sys.get_int_max_str_digits()``,
+    unless that is 0): such a number could not be printed, and
+    ``1e999999999`` would build a billion-digit power of ten.
     """
     try:
         if isinstance(x, float):
             return Fraction(str(x))
+        if isinstance(x, str) and (limit := _digit_limit()):
+            mantissa, _, exponent = x.lower().partition("e")
+            digits = max(sum(map(str.isdecimal, part)) for part in mantissa.split("/"))
+            if digits > limit or exponent and abs(int(exponent)) > limit:
+                raise DomainError(f"number has more than {limit} digits: {x!r}")
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise DomainError(f"not a finite rational number: {x!r}") from None
@@ -102,15 +124,17 @@ def notifier_utility(true_cost: Numeric, payment: Numeric, selected: bool) -> Fr
     return as_fraction(payment) - as_fraction(true_cost)
 
 
-def _cost_map(graph_n: int, costs: Mapping[int, Numeric]) -> dict[int, Fraction]:
-    out = {}
+def _cost_map(graph_n: int, costs: Mapping[int, Numeric]) -> list[int | Fraction]:
+    """The validated cost of each node in id order: an ``int`` cost stays an
+    ``int``, any other through :func:`as_fraction`."""
+    out = []
     for i in range(graph_n):
         if i not in costs:
             raise DomainError(f"no cost for node {i}")
-        c = as_fraction(costs[i])
+        c = costs[i] if type(costs[i]) is int else as_fraction(costs[i])
         if c <= 0:
             raise DomainError(f"cost of node {i} must be positive, got {costs[i]}")
-        out[i] = c
+        out.append(c)
     return out
 
 
@@ -118,8 +142,8 @@ def _scaled_costs(n: int, costs: Mapping[int, Numeric]) -> tuple[list[int], int]
     """Validated costs as integers ``C_i = c_i * D``, with ``D`` the lcm of
     the cost denominators, and ``D`` itself."""
     cost = _cost_map(n, costs)
-    scale = math.lcm(*{c.denominator for c in cost.values()})
-    return [c.numerator * (scale // c.denominator) for c in cost.values()], scale
+    scale = math.lcm(*{c.denominator for c in cost})
+    return [c.numerator * (scale // c.denominator) for c in cost], scale
 
 
 def _greedy_heap(masks: tuple[int, ...], scaled: list[int]):
@@ -141,18 +165,23 @@ def _greedy_heap(masks: tuple[int, ...], scaled: list[int]):
     return weights, (1 << shift) - 1, heap
 
 
-def _argmax_order(masks, weights, ids, heap, covered: int = 0, value: int = 0):
-    """Lazy (CELF) marginal-per-cost greedy order over the nodes in ``heap``.
+def _greedy_pass(masks, weights, ids, scaled, scale, share, heap, covered=0, value=0):
+    """Lazy (CELF) marginal-per-cost greedy over the nodes in ``heap``, up to
+    and including the first position the admission rule
+    ``c_i <= share * m / (h + m)`` rejects.
 
     Yields one position ``(node, marginal, covered, value)`` per node, where
     ``covered`` is the mask notified by the nodes before it and ``value``
-    its size; each yielded node is then added to the covered set.  Once the
-    heap is empty a terminal position ``(None, 0, covered, value)`` follows.
+    its size; an admitted node is then added to the covered set.  A zero
+    marginal is never admitted, and once the heap is empty a terminal
+    position ``(None, 0, covered, value)`` is the last.  With
+    ``c_i = C_i / D`` the rule is ``C_i * (h + m) * den <= num * D * m``.
     ``heap`` is consumed in place: between two positions it holds every
     node not yet yielded, keyed (see :func:`_greedy_heap`) by an upper
     bound of its ratio.  A stale top is re-keyed in place with one
     ``heapreplace``; only a top whose key is current is popped.
     """
+    num, den = share.numerator * scale, share.denominator
     free = ~covered
     while heap:
         i = heap[0] & ids
@@ -161,24 +190,12 @@ def _argmax_order(masks, weights, ids, heap, covered: int = 0, value: int = 0):
             heapq.heapreplace(heap, key)
             continue
         heapq.heappop(heap)
-        yield i, m, covered, value
-        covered |= masks[i]
-        free = ~covered
-        value += m
-    yield None, 0, covered, value
-
-
-def _until_rejected(order, scaled: list[int], share: Fraction, scale: int):
-    """The positions of ``order`` up to and including the first one the
-    admission rule ``c_i <= share * m / (h + m)`` rejects: the first loser,
-    or the terminal position.  A zero marginal is never admitted.  With
-    ``c_i = C_i / D`` the test is ``C_i * (h + m) * den <= num * D * m``."""
-    num, den = share.numerator * scale, share.denominator
-    for position in order:
-        yield position
-        i, m, _, h = position
-        if not (m and scaled[i] * (h + m) * den <= num * m):
+        yield i, m, ~free, value
+        if not (m and scaled[i] * (value + m) * den <= num * m):
             return
+        free &= ~masks[i]
+        value += m
+    yield None, 0, ~free, value
 
 
 def _threshold(
@@ -200,7 +217,8 @@ def _threshold(
     gain = reach.bit_count()
     if gain == 0:
         return Fraction(0)
-    num, den = budget.numerator, budget.denominator  # rho_0 = B
+    budget_num, budget_den = budget.numerator, budget.denominator
+    num, den = budget_num, budget_den  # rho_0 = B
     for i, m, covered, h in positions:
         # (num, den) is rho_k.  A zero marginal at the loser leaves the
         # positional cost unbounded, so rho_k alone caps the candidate.
@@ -213,7 +231,7 @@ def _threshold(
         # The next position's T_k and h(T_k) follow from this one; a zero
         # marginal is never admitted, so its position is the last.
         gain = (reach & ~(covered | masks[i])).bit_count() if m else 0
-        num, den = budget.numerator * gain, budget.denominator * (h + m + gain)
+        num, den = budget_num * gain, budget_den * (h + m + gain)
         if gain == 0 or num * best_den <= best_num * den:
             break
     return Fraction(best_num, best_den)
@@ -237,14 +255,10 @@ def nam_select(
     delta = as_fraction(delta)
     if delta <= 0:
         raise ConfigError("delta must be positive")
-    if graph.n == 0:
-        return [], frozenset()
 
     scaled, scale = _scaled_costs(graph.n, costs)
     weights, ids, heap = _greedy_heap(graph.masks, scaled)
-    positions = _until_rejected(
-        _argmax_order(graph.masks, weights, ids, heap), scaled, budget / delta, scale
-    )
+    positions = _greedy_pass(graph.masks, weights, ids, scaled, scale, budget / delta, heap)
     selected = [i for i, _, _, _ in positions][:-1]
     return selected, graph.covered(selected)
 
@@ -294,15 +308,14 @@ def npm_prices(
     # Positions of the forward pass: the undamped rule's admitted prefix,
     # then its first rejected position.
     positions: list[tuple] = []
-    forward = _argmax_order(masks, weights, ids, heap)
-    for position in _until_rejected(forward, scaled, budget, scale):
+    greedy = partial(_greedy_pass, masks, weights, ids, scaled, scale, budget)
+    for position in greedy(heap):
         if not pending:
             break
         j, _, covered, value = position
         if j in pending:
             pending.remove(j)
-            resumed = _argmax_order(masks, weights, ids, heap[:], covered, value)
-            rerun = itertools.chain(positions, _until_rejected(resumed, scaled, budget, scale))
+            rerun = itertools.chain(positions, greedy(heap[:], covered, value))
             payments[j] = _threshold(masks, masks[j], rerun, scaled, scale, budget)
         positions.append(position)
     # Winners after the forward pass's first rejection share its reruns.
@@ -344,8 +357,6 @@ def ntbfm(
     then a scan that selects while the reported cost fits the remaining
     budget and terminates at the first that does not."""
     budget = positive_budget(budget)
-    if graph.n == 0:
-        return NotifierOutcome("ntbfm", [], frozenset(), {}, budget)
     cost = _cost_map(graph.n, costs)
 
     order = sorted(range(graph.n), key=lambda i: (Fraction(-graph.degree(i), cost[i]), i))
@@ -357,7 +368,7 @@ def ntbfm(
             remaining -= cost[i]
         else:
             break
-    payments = {i: cost[i] for i in selected}
+    payments = {i: Fraction(cost[i]) for i in selected}
     outcome = NotifierOutcome(
         mechanism="ntbfm",
         selected=selected,

@@ -9,16 +9,29 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .errors import DomainError
 
 SCHEMA_VERSION = 1
 
 
 def jsonable(value):
-    """Recursively convert report values to canonical JSON-safe forms."""
+    """Recursively convert report values to canonical JSON-safe forms.
+
+    Raises DomainError for a rational whose numerator or denominator has
+    more digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits()``).
+    """
     if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else str(value.numerator)
+        try:
+            return str(value) if value.denominator != 1 else str(value.numerator)
+        except ValueError:
+            raise DomainError(
+                f"a reported number has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (set, frozenset)):

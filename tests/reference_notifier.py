@@ -12,9 +12,22 @@ import heapq
 from fractions import Fraction
 from typing import Mapping
 
-from crowdtier.errors import ConfigError
+from crowdtier.errors import ConfigError, DomainError
 from crowdtier.graph import SocialGraph
-from crowdtier.notifier import Numeric, _cost_map, as_fraction
+from crowdtier.notifier import Numeric, as_fraction
+
+
+def _cost_map(graph_n: int, costs: Mapping[int, Numeric]) -> dict[int, Fraction]:
+    """Every node's cost as a positive ``Fraction``, whatever its input type."""
+    out = {}
+    for i in range(graph_n):
+        if i not in costs:
+            raise DomainError(f"no cost for node {i}")
+        c = as_fraction(costs[i])
+        if c <= 0:
+            raise DomainError(f"cost of node {i} must be positive, got {costs[i]}")
+        out[i] = c
+    return out
 
 
 def _lazy_greedy(

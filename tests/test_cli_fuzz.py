@@ -133,6 +133,16 @@ CASES = [
     "experiment --mechanism tenm --n 10 --rounds 1 --deviation-frac 2",
     "experiment --mechanism tenm --n 10 --rounds 1 --deviation-frac nan",
     "experiment --mechanism tenm --n 10 --rounds 1 --deviation-frac x",
+    # Numbers with more digits than the interpreter converts to text
+    # (sys.get_int_max_str_digits(), 4300 by default): given, or derived.
+    # 1e4000000 took seconds to build before literals were checked first.
+    "tenm --graph {graph} --costs {costs} --budget 1e5000",
+    "tenm --graph {graph} --costs {costs} --budget 1e-5000",
+    "tenm --graph {graph} --costs {costs} --budget 1e4000000",
+    "tenm --graph {graph} --costs {costs} --budget 1e4300",
+    "tenm --graph {graph} --costs {costs} --budget 1e-4300",
+    "experiment --mechanism tenm --budget 1e5000",
+    "experiment --mechanism tenm --n 10 --rounds 1 --budget 1e4300",
     # Instances the mechanisms cannot run.
     "ectai --devices 5 --f 3 --g 3",
     # Flags these subcommands do not have.
@@ -159,8 +169,11 @@ def test_malformed_input_is_one_error_line(line, tmp_path, capsys, monkeypatch):
     assert len(errors) == 1, captured.err
 
 
-# Out-of-kind values for every typed flag of every subcommand.
-TYPED_VALUES = ["-1", "0", "1.5", "2", "x", "nan", "inf", "-inf", "1e999", "-0.1"]
+# Out-of-kind values for every typed flag of every subcommand; the last two
+# exceed the interpreter's int-to-str digit limit.
+TYPED_VALUES = [
+    "-1", "0", "1.5", "2", "x", "nan", "inf", "-inf", "1e999", "-0.1", "1e5000", "1e-5000",
+]
 
 
 def test_every_rejected_typed_flag_value_is_one_error_line(capsys):
@@ -188,7 +201,7 @@ def test_every_rejected_typed_flag_value_is_one_error_line(capsys):
                 assert len(errors) == 1, context
                 checked += 1
     # A floor, so the walk cannot silently test nothing.
-    assert checked >= 380
+    assert checked >= 475
 
 
 # Valid input whose direct evaluation overflows a float: each prints one

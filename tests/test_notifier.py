@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from crowdtier import (
     psm,
     tenm_run,
 )
+from crowdtier import notifier
 from crowdtier.graph import SocialGraph
 from crowdtier.notifier import as_fraction
 
@@ -291,6 +293,24 @@ class TestAsFraction:
 
     def test_float_reads_as_decimal_literal(self):
         assert as_fraction(0.1) == Fraction(1, 10)
+
+    @pytest.mark.parametrize("text", [
+        "1e5000", "1e-5000", "-1E+4301", "1e4000000", "1" * 3000 + "." + "1" * 3000,
+    ])
+    def test_literal_beyond_the_digit_limit_raises_domain_error(self, text):
+        with pytest.raises(DomainError, match=r"more than \d+ digits"):
+            as_fraction(text)
+
+    def test_literal_at_the_digit_limit_is_exact(self):
+        limit = sys.get_int_max_str_digits()
+        assert as_fraction(f"1e{limit}") == 10**limit
+        assert as_fraction(f"-1e-{limit}") == Fraction(-1, 10**limit)
+        # Each part of a fraction literal is its own number.
+        assert as_fraction("7" * limit + "/" + "3" * limit) == Fraction(7, 3)
+
+    def test_no_digit_limit_no_check(self, monkeypatch):
+        monkeypatch.setattr(notifier, "_digit_limit", lambda: 0)
+        assert as_fraction("1e5000") == 10**5000
 
 
 class TestOutcomeInvariants:

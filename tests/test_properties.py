@@ -11,20 +11,28 @@ bundle, settles within its round hint, and is epsilon-efficient
 allocates disjointly, pays each winner its bid, and rejects a request
 only for overlapping one accepted before it in ascending bid / sqrt(size)
 order.
+
+Tier-1 outputs do not depend on whether a cost arrives as an int, a
+Fraction or an integral float, and a bad cost raises the same error
+whatever its form.
 """
 
 import functools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdtier import (
     AdditiveValuation,
     BruteForceOracle,
+    DomainError,
     build_graph,
     greedy_baseline,
     nam_select,
+    npm_prices,
+    ntbfm,
     psm,
     tenm_run,
     wipd_run,
@@ -72,6 +80,62 @@ def test_tenm_winner_stays_selected_at_lower_cost(instance):
         for lower in range(1, costs[i]):
             selected, _ = nam_select(graph, {**costs, i: lower}, budget, delta)
             assert i in selected, (i, lower)
+
+
+def _tier1_outputs(graph, costs, budget, delta):
+    selected, notified = nam_select(graph, costs, budget, delta)
+    payments = npm_prices(graph, costs, budget, selected)
+    tenm, base = tenm_run(graph, costs, budget, delta), ntbfm(graph, costs, budget)
+    for paid in (payments, tenm.payments, base.payments):
+        assert all(type(p) is Fraction for p in paid.values())
+    assert type(tenm.budget) is Fraction and type(base.budget) is Fraction
+    return selected, notified, payments, tenm, base
+
+
+COST_FORMS = [int, Fraction, float]
+
+
+@PROPERTIES
+@given(tier1_instances(), st.data())
+def test_tier1_outputs_do_not_depend_on_cost_type(instance, data):
+    graph, costs, budget, delta = instance
+    forms = data.draw(st.lists(st.sampled_from(COST_FORMS), min_size=graph.n, max_size=graph.n))
+    variants = [{i: form(c) for i, c in costs.items()} for form in COST_FORMS]
+    variants.append({i: form(costs[i]) for i, form in enumerate(forms)})
+    expected = _tier1_outputs(graph, variants.pop(), budget, delta)
+    for variant in variants:
+        assert _tier1_outputs(graph, variant, budget, delta) == expected
+
+
+def _tier1_error(graph, costs, budget):
+    """The one error text every tier-1 entry point raises for ``costs``."""
+    texts = set()
+    for call in (lambda: nam_select(graph, costs, budget),
+                 lambda: npm_prices(graph, costs, budget, []),
+                 lambda: tenm_run(graph, costs, budget),
+                 lambda: ntbfm(graph, costs, budget)):
+        with pytest.raises(DomainError) as caught:
+            call()
+        texts.add(str(caught.value))
+    assert len(texts) == 1, texts
+    return texts.pop()
+
+
+@PROPERTIES
+@given(tier1_instances(), st.data())
+def test_tier1_bad_cost_errors_do_not_depend_on_cost_type(instance, data):
+    graph, costs, budget, _ = instance
+    k = data.draw(st.integers(0, graph.n - 1))
+    missing = {i: c for i, c in costs.items() if i != k}
+    assert _tier1_error(graph, missing, budget) == f"no cost for node {k}"
+    for bad in (0, -3, Fraction(0), Fraction(-3), 0.0, -3.0):
+        text = _tier1_error(graph, {**costs, k: bad}, budget)
+        assert text == f"cost of node {k} must be positive, got {bad}"
+    for bad in (float("nan"), float("inf"), None):
+        text = _tier1_error(graph, {**costs, k: bad}, budget)
+        assert text == f"not a finite rational number: {bad!r}"
+    assert _tier1_outputs(graph, {**costs, k: True}, budget, 1) == _tier1_outputs(
+        graph, {**costs, k: 1}, budget, 1)
 
 
 @PROPERTIES
