@@ -13,7 +13,6 @@ from .auction import (
     ScriptedOracle,
     TableValuation,
     brute_force_demand,
-    device_utility,
     greedy_baseline,
     gs_check,
     wipd_run,
@@ -95,7 +94,6 @@ __all__ = [
     "build_graph",
     "canonical_json",
     "chernoff_tail",
-    "device_utility",
     "ectai_run",
     "expected_notified",
     "greedy_baseline",

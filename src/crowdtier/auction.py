@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError, InvariantError, TerminationError
-from .notifier import Numeric, as_fraction, notifier_utility
+from .notifier import Numeric, as_fraction
 
 DEMAND_ENUM_CAP = 20
 DEMAND_POLICIES = ("paper-literal", "net-gain")
@@ -35,7 +35,11 @@ class AdditiveValuation:
         return sum((self.per_task.get(t, Fraction(0)) for t in bundle), Fraction(0))
 
     def max_value(self) -> Fraction:
-        return sum(self.per_task.values(), Fraction(0))
+        """The sum of all values, added as integers over their common
+        denominator."""
+        values = self.per_task.values()
+        scale = math.lcm(*(v.denominator for v in values))
+        return Fraction(sum(v.numerator * (scale // v.denominator) for v in values), scale)
 
     def scaled(self, factor: Numeric) -> "AdditiveValuation":
         f = as_fraction(factor)
@@ -300,11 +304,6 @@ def wipd_run(
     raise TerminationError(
         f"auction did not settle within {max_rounds} passes", trace
     )
-
-
-def device_utility(payment: Numeric, v_of_allocated: Numeric, allocated: bool) -> Fraction:
-    """Auction utility: payment minus valuation of the assigned bundle."""
-    return notifier_utility(v_of_allocated, payment, allocated)
 
 
 # --- gross substitutes ----------------------------------------------------

@@ -72,10 +72,14 @@ _probability = _typed(float, "a probability in [0, 1]", 0, 1)
 
 
 def _number(text: str, flag: str) -> Fraction:
+    """``as_fraction(text)``; a text that is no number gets the flag's own
+    message, any other reason (a literal past the digit limit) is kept."""
     try:
         return as_fraction(text)
-    except DomainError:
-        raise ConfigError(f"{flag} must be a finite number, got {text!r}") from None
+    except DomainError as exc:
+        if str(exc) == f"not a finite rational number: {text!r}":
+            raise ConfigError(f"{flag} must be a finite number, got {text!r}") from None
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _load_costs_csv(path: str) -> dict[int, Fraction]:

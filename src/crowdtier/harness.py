@@ -230,10 +230,8 @@ def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> 
         "ordered": list(ranking.ordered),
         "batches": len(ranking.batches),
         "deviators": sorted(deviators),
-        "mean_regret": sum(regrets) / len(regrets) if regrets else 0.0,
-        "mean_deviator_regret": (
-            sum(deviator_regrets) / len(deviator_regrets) if deviator_regrets else 0.0
-        ),
+        "mean_regret": quality.mean_of(regrets) if regrets else 0.0,
+        "mean_deviator_regret": quality.mean_of(deviator_regrets) if deviator_regrets else 0.0,
         "budget_feasible": True,
     }
 
@@ -252,7 +250,7 @@ def _run_wipd_round(config: ExperimentConfig, r: int) -> dict:
         config.num_tasks, list(reported), oracle, config.epsilon
     )
     total_utility = sum(
-        (auction.device_utility(outcome.payments[d], truth[d].value(bundle), True)
+        (notifier.notifier_utility(truth[d].value(bundle), outcome.payments[d], True)
          for d, bundle in outcome.allocation.items() if bundle),
         Fraction(0),
     )
@@ -277,7 +275,7 @@ def _run_greedy_round(config: ExperimentConfig, r: int) -> dict:
         for d, (bundle, bid) in requests.items()
     }
     outcome = auction.greedy_baseline(reported, num_tasks=config.num_tasks)
-    utilities = {d: auction.device_utility(outcome.payments[d], requests[d][1], True)
+    utilities = {d: notifier.notifier_utility(requests[d][1], outcome.payments[d], True)
                  for d in outcome.allocation}
     total_utility = sum(utilities.values(), Fraction(0))
     deviator_utility = sum((u for d, u in utilities.items() if d in deviators), Fraction(0))

@@ -22,6 +22,12 @@ sequence with ties to the lowest id, whatever the heap's layout;
 of its payment reruns.  Each greedy pass, forward or rerun, is one
 generator that also applies the admission rule.
 
+The baselines share that scale and its validator.  NTBFM's static order
+is the sorted initial heap keys, and its budget scan keeps one integer
+remainder; PSM sorts by (C_i, id) and tests its rule c_k <= B / k as
+C_k * k * den <= num * D.  Each builds a ``Fraction`` only for its
+payments.
+
 Decimal literals whose digits or exponent exceed the interpreter's
 int-to-str limit (``sys.get_int_max_str_digits()``) are rejected before
 they are built: such a number could not be printed in a report.
@@ -36,7 +42,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ConfigError, DomainError, InvariantError
 from .graph import SocialGraph
@@ -97,7 +103,7 @@ class NotifierOutcome:
     def total_payment(self) -> Fraction:
         return sum(self.payments.values(), Fraction(0))
 
-    def check(self, costs: Mapping[int, Fraction] | None = None) -> None:
+    def check(self, costs: Mapping[int, Numeric] | None = None) -> None:
         """Raise InvariantError on budget or rationality violations."""
         if len(set(self.selected)) != len(self.selected):
             raise InvariantError("selected list contains duplicates")
@@ -124,11 +130,11 @@ def notifier_utility(true_cost: Numeric, payment: Numeric, selected: bool) -> Fr
     return as_fraction(payment) - as_fraction(true_cost)
 
 
-def _cost_map(graph_n: int, costs: Mapping[int, Numeric]) -> list[int | Fraction]:
-    """The validated cost of each node in id order: an ``int`` cost stays an
-    ``int``, any other through :func:`as_fraction`."""
+def _cost_map(ids: Iterable, costs: Mapping[int, Numeric]) -> list[int | Fraction]:
+    """The validated cost of each id in ``ids``, in that order: an ``int``
+    cost stays an ``int``, any other goes through :func:`as_fraction`."""
     out = []
-    for i in range(graph_n):
+    for i in ids:
         if i not in costs:
             raise DomainError(f"no cost for node {i}")
         c = costs[i] if type(costs[i]) is int else as_fraction(costs[i])
@@ -138,10 +144,10 @@ def _cost_map(graph_n: int, costs: Mapping[int, Numeric]) -> list[int | Fraction
     return out
 
 
-def _scaled_costs(n: int, costs: Mapping[int, Numeric]) -> tuple[list[int], int]:
-    """Validated costs as integers ``C_i = c_i * D``, with ``D`` the lcm of
-    the cost denominators, and ``D`` itself."""
-    cost = _cost_map(n, costs)
+def _scaled_costs(ids: Iterable, costs: Mapping[int, Numeric]) -> tuple[list[int], int]:
+    """Validated costs of ``ids`` as integers ``C_i = c_i * D``, with ``D``
+    the lcm of the cost denominators, and ``D`` itself."""
+    cost = _cost_map(ids, costs)
     scale = math.lcm(*{c.denominator for c in cost})
     return [c.numerator * (scale // c.denominator) for c in cost], scale
 
@@ -256,7 +262,7 @@ def nam_select(
     if delta <= 0:
         raise ConfigError("delta must be positive")
 
-    scaled, scale = _scaled_costs(graph.n, costs)
+    scaled, scale = _scaled_costs(range(graph.n), costs)
     weights, ids, heap = _greedy_heap(graph.masks, scaled)
     positions = _greedy_pass(graph.masks, weights, ids, scaled, scale, budget / delta, heap)
     selected = [i for i, _, _, _ in positions][:-1]
@@ -295,7 +301,7 @@ def npm_prices(
     Raises DomainError on an unknown, non-integer or repeated node id.
     """
     budget = positive_budget(budget)
-    scaled, scale = _scaled_costs(graph.n, costs)
+    scaled, scale = _scaled_costs(range(graph.n), costs)
     for j in selected:
         graph._check(j)
     pending = set(selected)
@@ -346,7 +352,7 @@ def tenm_run(
         payments=payments,
         budget=as_fraction(budget),
     )
-    outcome.check(costs={i: as_fraction(costs[i]) for i in selected})
+    outcome.check(costs)
     return outcome
 
 
@@ -355,25 +361,30 @@ def ntbfm(
 ) -> NotifierOutcome:
     """Pay-as-bid baseline: one static sort by initial marginal per cost,
     then a scan that selects while the reported cost fits the remaining
-    budget and terminates at the first that does not."""
-    budget = positive_budget(budget)
-    cost = _cost_map(graph.n, costs)
+    budget and terminates at the first that does not.
 
-    order = sorted(range(graph.n), key=lambda i: (Fraction(-graph.degree(i), cost[i]), i))
+    The order is the sorted initial keys of :func:`_greedy_heap`, which
+    order as (-degree / cost, id).  With ``c_i = C_i / D`` and
+    ``B = num / den``, the remaining budget is the integer room
+    ``num * D - den * sum(C_j)``, and node i fits iff ``C_i * den <= room``.
+    """
+    budget = positive_budget(budget)
+    scaled, scale = _scaled_costs(range(graph.n), costs)
+    _, ids, keys = _greedy_heap(graph.masks, scaled)
+    room, den = budget.numerator * scale, budget.denominator
     selected: list[int] = []
-    remaining = budget
-    for i in order:
-        if cost[i] <= remaining:
+    for key in sorted(keys):
+        i = key & ids
+        if scaled[i] * den <= room:
             selected.append(i)
-            remaining -= cost[i]
+            room -= scaled[i] * den
         else:
             break
-    payments = {i: Fraction(cost[i]) for i in selected}
     outcome = NotifierOutcome(
         mechanism="ntbfm",
         selected=selected,
         notified=graph.covered(selected),
-        payments=payments,
+        payments={i: Fraction(scaled[i], scale) for i in selected},
         budget=budget,
     )
     outcome.check()
@@ -385,40 +396,35 @@ def psm(
 ) -> NotifierOutcome:
     """Proportional share baseline.
 
-    Sorts reported costs ascending (c_1 <= c_2 <= ...), finds the
-    largest k with c_k <= B/k, and pays each of the k cheapest agents
-    min(B/k, c_{k+1}); with no loser the payment is B/k.  The graph is
-    ignored by the rule and only used to report the notified set.
+    Sorts reported costs ascending (c_1 <= c_2 <= ...), ties to the lowest
+    id, finds the largest k with c_k <= B/k, and pays each of the k
+    cheapest agents min(B/k, c_{k+1}); with no loser the payment is B/k.
+    The ids are the keys of ``costs`` and need not be dense.  With
+    ``c_i = C_i / D`` and ``B = num / den``, the rule is
+    ``C_k * k * den <= num * D``; since c_k * k grows with k, its k form a
+    prefix.  The graph is ignored by the rule and only used to report the
+    notified set.
     """
     budget = positive_budget(budget)
     if not costs:
         raise DomainError("psm requires at least one cost")
-    cost = {i: as_fraction(c) for i, c in costs.items()}
-    for i, c in cost.items():
-        if c <= 0:
-            raise DomainError(f"cost of node {i} must be positive")
-
-    order = sorted(cost, key=lambda i: (cost[i], i))
+    scaled, scale = _scaled_costs(costs, costs)
+    order = sorted(zip(scaled, costs))
+    total, den = budget.numerator * scale, budget.denominator
     k = 0
-    for idx, i in enumerate(order, start=1):
-        if cost[i] <= budget / idx:
-            k = idx
-    winners = order[:k]
-    if k == 0:
-        payments: dict[int, Fraction] = {}
-    else:
+    while k < len(order) and order[k][0] * (k + 1) * den <= total:
+        k += 1
+    winners = [i for _, i in order[:k]]
+    payments: dict[int, Fraction] = {}
+    if k:
         share = budget / k
-        pay = min(share, cost[order[k]]) if k < len(order) else share
-        payments = {i: pay for i in winners}
+        pay = min(share, Fraction(order[k][0], scale)) if k < len(order) else share
+        payments = dict.fromkeys(winners, pay)
 
-    if graph is not None:
-        notified = graph.covered(winners)
-    else:
-        notified = frozenset()
     outcome = NotifierOutcome(
         mechanism="psm",
         selected=winners,
-        notified=notified,
+        notified=graph.covered(winners) if graph is not None else frozenset(),
         payments=payments,
         budget=budget,
     )

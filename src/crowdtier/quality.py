@@ -31,9 +31,15 @@ def median_of(reports: Sequence[float]) -> float:
 
 
 def mean_of(reports: Sequence[float]) -> float:
+    """Mean of the reports, summed left to right.  The builtin ``sum`` has
+    compensated float rounding since Python 3.12, so it would make
+    reports differ between interpreter versions."""
     if not reports:
         raise DomainError("mean of empty report list")
-    return sum(reports) / len(reports)
+    total = 0
+    for report in reports:
+        total += report
+    return total / len(reports)
 
 
 def select_quality(panel: Sequence[tuple[int, float]], aggregate: float) -> int:

@@ -3,6 +3,8 @@
 This is the straightforward implementation the package shipped before its
 integer-keyed, prefix-shared rewrite: ``Fraction`` heap keys, and one full
 greedy rerun per winner with that winner excluded from candidacy.  The
+NTBFM and PSM baselines are the same kind of copy: ``Fraction`` sort keys,
+a ``Fraction`` budget remainder, and a ``budget / k`` test per index.  The
 differential tests compare the package against it.
 """
 
@@ -14,7 +16,7 @@ from typing import Mapping
 
 from crowdtier.errors import ConfigError, DomainError
 from crowdtier.graph import SocialGraph
-from crowdtier.notifier import Numeric, as_fraction
+from crowdtier.notifier import Numeric, NotifierOutcome, as_fraction
 
 
 def _cost_map(graph_n: int, costs: Mapping[int, Numeric]) -> dict[int, Fraction]:
@@ -173,3 +175,69 @@ def npm_prices(
                 covered |= masks[order[k]]
         payments[j] = best
     return payments
+
+
+def ntbfm(
+    graph: SocialGraph, costs: Mapping[int, Numeric], budget: Numeric
+) -> NotifierOutcome:
+    """Pay-as-bid baseline: one static sort by initial marginal per cost,
+    then a scan that selects while the reported cost fits the remaining
+    budget and terminates at the first that does not."""
+    budget = as_fraction(budget)
+    if budget <= 0:
+        raise ConfigError("budget must be positive")
+    cost = _cost_map(graph.n, costs)
+
+    order = sorted(range(graph.n), key=lambda i: (Fraction(-graph.degree(i), cost[i]), i))
+    selected: list[int] = []
+    remaining = budget
+    for i in order:
+        if cost[i] <= remaining:
+            selected.append(i)
+            remaining -= cost[i]
+        else:
+            break
+    return NotifierOutcome(
+        mechanism="ntbfm",
+        selected=selected,
+        notified=graph.covered(selected),
+        payments={i: Fraction(cost[i]) for i in selected},
+        budget=budget,
+    )
+
+
+def psm(
+    costs: Mapping[int, Numeric], budget: Numeric, graph: SocialGraph | None = None
+) -> NotifierOutcome:
+    """Proportional share baseline: the largest k with c_k <= B/k over the
+    ascending costs (ties to the lowest id), each of the k cheapest paid
+    min(B/k, c_{k+1}), or B/k with no loser."""
+    budget = as_fraction(budget)
+    if budget <= 0:
+        raise ConfigError("budget must be positive")
+    if not costs:
+        raise DomainError("psm requires at least one cost")
+    cost = {i: as_fraction(c) for i, c in costs.items()}
+    for i, c in cost.items():
+        if c <= 0:
+            raise DomainError(f"cost of node {i} must be positive")
+
+    order = sorted(cost, key=lambda i: (cost[i], i))
+    k = 0
+    for idx, i in enumerate(order, start=1):
+        if cost[i] <= budget / idx:
+            k = idx
+    winners = order[:k]
+    if k == 0:
+        payments: dict[int, Fraction] = {}
+    else:
+        share = budget / k
+        pay = min(share, cost[order[k]]) if k < len(order) else share
+        payments = {i: pay for i in winners}
+    return NotifierOutcome(
+        mechanism="psm",
+        selected=winners,
+        notified=graph.covered(winners) if graph is not None else frozenset(),
+        payments=payments,
+        budget=budget,
+    )

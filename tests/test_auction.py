@@ -13,9 +13,9 @@ from crowdtier import (
     TableValuation,
     TerminationError,
     brute_force_demand,
-    device_utility,
     greedy_baseline,
     gs_check,
+    notifier_utility,
     wipd_run,
 )
 
@@ -265,10 +265,11 @@ class TestWipdRun:
             wipd_run(1, [0], Bad(), 1, max_rounds=5)
 
     def test_device_utility(self):
-        assert device_utility(10, 7, True) == 3
-        assert device_utility(10, 7, False) == 0
+        # A device's auction utility is notifier_utility(value, payment, allocated).
+        assert notifier_utility(7, 10, True) == 3
+        assert notifier_utility(7, 10, False) == 0
         with pytest.raises(DomainError):
-            device_utility(-1, 0, True)
+            notifier_utility(0, -1, True)
 
 
 class TestGrossSubstitutes:

@@ -281,13 +281,18 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "line 3" in err[0]
 
-    @pytest.mark.parametrize("budget", ["abc", "nan"])
-    def test_bad_budget_prints_one_error_line(self, capsys, ex6_paths, budget):
+    @pytest.mark.parametrize("budget, message", [
+        ("abc", "--budget must be a finite number, got 'abc'"),
+        ("nan", "--budget must be a finite number, got 'nan'"),
+        ("1e5000", f"--budget: number has more than {sys.get_int_max_str_digits()} digits: "
+                   "'1e5000'"),
+    ])
+    def test_bad_budget_prints_one_error_line(self, capsys, ex6_paths, budget, message):
         graph, costs = ex6_paths
         code = main(["tenm", "--graph", graph, "--budget", budget, "--costs", costs])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: --budget must be a finite number, got {budget!r}"]
+        assert err == [f"error: {message}"]
 
     @pytest.mark.parametrize("text", [
         "{bad", '{"0": {"x": 1}}', "[1,2]", '{"0": {"7": 3}}', '{"0": {"1": null}}',

@@ -7,14 +7,15 @@ pays each of its k winners at least its cost and at most B / k
 (Singer 2010).  The paper-literal ascending auction on additive values
 allocates disjointly, charges each device the final prices of its
 bundle, settles within its round hint, and is epsilon-efficient
-(Demange, Gale and Sotomayor 1986).  The pay-as-bid greedy baseline
+(Demange, Gale and Sotomayor 1986); the hint's total value is the exact
+``Fraction`` sum.  The pay-as-bid greedy baseline
 allocates disjointly, pays each winner its bid, and rejects a request
 only for overlapping one accepted before it in ascending bid / sqrt(size)
 order.
 
 Tier-1 outputs do not depend on whether a cost arrives as an int, a
 Fraction or an integral float, and a bad cost raises the same error
-whatever its form.
+whatever its form and whichever tier-1 mechanism reads it.
 """
 
 import functools
@@ -108,12 +109,16 @@ def test_tier1_outputs_do_not_depend_on_cost_type(instance, data):
 
 
 def _tier1_error(graph, costs, budget):
-    """The one error text every tier-1 entry point raises for ``costs``."""
+    """The one error text every tier-1 entry point raises for ``costs``.
+    ``psm`` reads only the ids it is given, so it joins when none is missing."""
     texts = set()
-    for call in (lambda: nam_select(graph, costs, budget),
-                 lambda: npm_prices(graph, costs, budget, []),
-                 lambda: tenm_run(graph, costs, budget),
-                 lambda: ntbfm(graph, costs, budget)):
+    calls = [lambda: nam_select(graph, costs, budget),
+             lambda: npm_prices(graph, costs, budget, []),
+             lambda: tenm_run(graph, costs, budget),
+             lambda: ntbfm(graph, costs, budget)]
+    if len(costs) == graph.n:
+        calls.append(lambda: psm(costs, budget, graph))
+    for call in calls:
         with pytest.raises(DomainError) as caught:
             call()
         texts.add(str(caught.value))
@@ -181,6 +186,17 @@ def test_wipd_paper_literal_invariants(instance):
     welfare = sum(vals[d].value(bundle) for d, bundle in outcome.allocation.items())
     best = sum(max(row[j] for row in rows.values()) for j in range(m))
     assert welfare >= best - m * eps
+
+
+@PROPERTIES
+@given(st.lists(st.one_of(
+    st.integers(0, 10**6),
+    st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**4)),
+), max_size=40))
+def test_additive_max_value_is_the_fraction_sum(values):
+    total = AdditiveValuation(dict(enumerate(values))).max_value()
+    assert type(total) is Fraction
+    assert total == sum(map(Fraction, values), Fraction(0))
 
 
 @st.composite

@@ -58,6 +58,10 @@ class TestAggregates:
         with pytest.raises(DomainError):
             mean_of([])
 
+    def test_mean_sums_left_to_right(self):
+        # Compensated summation (the builtin sum since Python 3.12) gives 1/3.
+        assert mean_of([1e16, 1.0, -1e16]) == 0.0
+
     def test_median_within_bounds_random(self):
         rng = random.Random(3)
         for _ in range(100):
