@@ -10,7 +10,6 @@ from .auction import (
     AdditiveValuation,
     AuctionOutcome,
     BruteForceOracle,
-    ScriptedOracle,
     TableValuation,
     brute_force_demand,
     greedy_baseline,
@@ -54,7 +53,6 @@ from .quality import (
     BatchScript,
     NormalPeaks,
     QualityRanking,
-    ScriptedPeaks,
     UniformPeaks,
     avr_run,
     ectai_run,
@@ -82,8 +80,6 @@ __all__ = [
     "NotifierOutcome",
     "NotifyModel",
     "QualityRanking",
-    "ScriptedOracle",
-    "ScriptedPeaks",
     "SocialGraph",
     "TableValuation",
     "TerminationError",

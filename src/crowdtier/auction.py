@@ -6,7 +6,6 @@ pay-as-bid GREEDY baseline.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -55,21 +54,6 @@ class TableValuation:
         for s, v in self.listed.items():
             if v < 0:
                 raise DomainError(f"negative value for bundle {sorted(s)}")
-
-    @classmethod
-    def from_json(cls, text: str) -> dict[int, "TableValuation"]:
-        """Parse {device: [{"subset": [task ids], "value": v}, ...]}."""
-        try:
-            return {
-                int(device): cls({
-                    frozenset(e["subset"]): Fraction(str(e["value"])) for e in entries
-                })
-                for device, entries in json.loads(text).items()
-            }
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-            raise ConfigError(
-                f'valuation table is not {{device: [{{"subset": [...], "value": v}}]}}: {exc!r}'
-            ) from None
 
     def value(self, bundle: Iterable[int]) -> Fraction:
         bundle = frozenset(bundle)
@@ -174,23 +158,6 @@ class BruteForceOracle:
     def max_rounds_hint(self, num_tasks: int, epsilon: Fraction) -> int:
         top = max((v.max_value() for v in self.valuations.values()), default=Fraction(0))
         return math.ceil(top * num_tasks / epsilon) + num_tasks
-
-
-class ScriptedOracle:
-    """Replays (round, device) -> demanded set; off-script queries get the
-    empty set."""
-
-    def __init__(self, script: Mapping[tuple[int, int], Iterable[int]]):
-        self.script = {
-            (r, d): frozenset(tasks) for (r, d), tasks in script.items()
-        }
-
-    def demand(self, device, holdings, levels, epsilon, round_index) -> frozenset[int]:
-        return self.script.get((round_index, device), frozenset())
-
-    def max_rounds_hint(self, num_tasks: int, epsilon: Fraction) -> int:
-        last = max((r for r, _ in self.script), default=0)
-        return last + 2
 
 
 # --- ascending auction ----------------------------------------------------

@@ -70,7 +70,8 @@ def as_fraction(x: Numeric) -> Fraction:
         if isinstance(x, str) and (limit := _digit_limit()):
             mantissa, _, exponent = x.lower().partition("e")
             digits = max(sum(map(str.isdecimal, part)) for part in mantissa.split("/"))
-            if digits > limit or exponent and abs(int(exponent)) > limit:
+            # Fraction reads an exponent only in a string without "/".
+            if digits > limit or exponent and "/" not in x and abs(int(exponent)) > limit:
                 raise DomainError(f"number has more than {limit} digits: {x!r}")
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):

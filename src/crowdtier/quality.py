@@ -64,7 +64,7 @@ def reviewer_regret(true_alpha: float, aggregate: float) -> float:
 class UniformPeaks:
     """Reviewer peaks drawn uniformly from [0, 1]."""
 
-    def sample(self, batch: int, reviewer: int, rng: random.Random) -> float:
+    def sample(self, rng: random.Random) -> float:
         return rng.random()
 
 
@@ -81,41 +81,8 @@ class NormalPeaks:
         self.mu = mu
         self.sigma = sigma
 
-    def sample(self, batch: int, reviewer: int, rng: random.Random) -> float:
+    def sample(self, rng: random.Random) -> float:
         return min(1.0, max(0.0, rng.gauss(self.mu, self.sigma)))
-
-
-class ScriptedPeaks:
-    """Replay fixed reports keyed by (batch, reviewer).
-
-    The CSV format is ``batch,reviewer,alpha`` with an optional header.
-    """
-
-    def __init__(self, reports: dict[tuple[int, int], float]):
-        self.reports = dict(reports)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ScriptedPeaks":
-        reports: dict[tuple[int, int], float] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.lower().startswith("batch"):
-                continue
-            try:
-                b, r, a = line.split(",")
-                reports[(int(b), int(r))] = float(a)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: expected batch,reviewer,alpha with integer ids "
-                    f"and a numeric alpha: {line!r}"
-                ) from None
-        return cls(reports)
-
-    def sample(self, batch: int, reviewer: int, rng: random.Random | None) -> float:
-        try:
-            return self.reports[(batch, reviewer)]
-        except KeyError:
-            raise DomainError(f"no scripted report for batch {batch}, reviewer {reviewer}") from None
 
 
 @dataclass(frozen=True)
@@ -143,21 +110,6 @@ class QualityRanking:
 
     ordered: list[int] = field(default_factory=list)
     batches: list[BatchRecord] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "ordered": self.ordered,
-            "batches": [
-                {
-                    "index": b.index,
-                    "panel": [[d, p] for d, p in b.panel],
-                    "reports": {str(r): a for r, a in sorted(b.reports.items())},
-                    "aggregate": b.aggregate,
-                    "winner": b.winner,
-                }
-                for b in self.batches
-            ],
-        }
 
 
 def _batch_rng(seed: int, batch: int) -> random.Random:
@@ -213,57 +165,57 @@ def plan_batches(
             reviewers.append(devices[j])
         positions = {d: rng.random() for d in eta}
         for r in reviewers:
-            peaks[(batch, r)] = peak_source.sample(batch, r, rng)
+            peaks[(batch, r)] = peak_source.sample(rng)
         scripts.append(BatchScript(tuple(eta), tuple(reviewers), positions))
         for d in eta:
             del unranked[bisect_left(unranked, d)]
     return scripts, peaks
 
 
-def _run_batches(
-    devices: Iterable[int],
-    f: int,
-    g: int,
-    peak_source,
-    seed: int,
-    aggregator: Callable[[Sequence[float]], float],
-    script: Sequence[BatchScript] | None,
-) -> QualityRanking:
-    devices = sorted(set(devices))
+def _check_entry(batch: int, entry: BatchScript, population: set[int],
+                 unranked: set[int]) -> None:
+    """ConfigError naming the first fault of script batch ``batch``, if any."""
+    eta, reviewers = set(entry.eta), set(entry.reviewers)
+    listed = entry.eta + entry.reviewers
+    repeats = len(listed) > len(eta) + len(reviewers) and {d for d in listed if listed.count(d) > 1}
+    for bad, fault in ((eta - population, "ranks unknown devices"),
+                       (eta - unranked, "re-ranks devices"),
+                       (eta - entry.positions.keys(), "gives no position to devices"),
+                       (eta & reviewers, "has reviewers inside the ranked panel"),
+                       (repeats, "repeats devices"),
+                       (reviewers - population, "has unknown reviewers")):
+        if bad:
+            raise ConfigError(f"scripted batch {batch} {fault} {sorted(bad)}")
+
+
+def _run_batches(devices: Iterable[int], f: int, g: int, peaks, seed: int,
+                 aggregator: Callable[[Sequence[float]], float],
+                 script: Sequence[BatchScript] | None) -> QualityRanking:
+    population = set(devices)
     if script is None:
-        script, peaks = plan_batches(
-            devices, f, g, peak_source, lambda batch: _batch_rng(seed, batch)
-        )
-        peak_source = ScriptedPeaks(peaks)
+        script, peaks = plan_batches(population, f, g, peaks,
+                                     lambda batch: _batch_rng(seed, batch))
     elif f < 1 or g < 1:
         raise ConfigError("f and g must be at least 1")
 
-    # A scripted source ignores the stream, so a replay from one seeds none.
-    draws = not isinstance(peak_source, ScriptedPeaks)
-    unranked = set(devices)
+    unranked = set(population)
     result = QualityRanking()
     for batch, entry in enumerate(script):
         if not unranked:
             break
-        eta, reviewers = entry.eta, entry.reviewers
-        missing = set(eta) - unranked
-        if missing:
-            raise ConfigError(f"scripted batch {batch} re-ranks devices {sorted(missing)}")
-        if set(reviewers) & set(eta):
-            raise ConfigError(f"scripted batch {batch} has reviewers inside the ranked panel")
-
-        panel = [(d, entry.positions[d]) for d in eta]
-        rng = _batch_rng(seed, batch) if draws else None
-        reports = {r: peak_source.sample(batch, r, rng) for r in reviewers}
+        _check_entry(batch, entry, population, unranked)
+        panel = [(d, entry.positions[d]) for d in entry.eta]
+        reports = {r: peaks.get((batch, r)) for r in entry.reviewers}
         for r, a in reports.items():
+            if a is None:
+                raise DomainError(f"no scripted report for batch {batch}, reviewer {r}")
             if not 0.0 <= a <= 1.0:
                 raise DomainError(f"report {a} from reviewer {r} outside [0, 1]")
-        aggregate = aggregator([reports[r] for r in reviewers])
+        aggregate = aggregator(list(reports.values()))
         winner = select_quality(panel, aggregate)
-
         result.ordered.append(winner)
         result.batches.append(BatchRecord(batch, panel, reports, aggregate, winner))
-        unranked.difference_update(eta)
+        unranked.difference_update(entry.eta)
     if unranked:
         raise ConfigError(f"script ends before batch {len(script)}")
     return result
@@ -273,7 +225,7 @@ def ectai_run(
     devices: Iterable[int],
     f: int,
     g: int,
-    peak_source,
+    peaks,
     seed: int = 0,
     script: Sequence[BatchScript] | None = None,
 ) -> QualityRanking:
@@ -283,17 +235,21 @@ def ectai_run(
     from the rest of the population (ranked devices stay eligible) each
     report a peak, and the device nearest the report median wins the
     batch.  The final batch may be shorter than f.
+
+    Without ``script``, ``peaks`` is a peak source and the batches are
+    planned on ``seed``'s streams; with it, ``peaks`` holds the reports
+    keyed by (batch, reviewer), as ``plan_batches`` returns them.
     """
-    return _run_batches(devices, f, g, peak_source, seed, median_of, script)
+    return _run_batches(devices, f, g, peaks, seed, median_of, script)
 
 
 def avr_run(
     devices: Iterable[int],
     f: int,
     g: int,
-    peak_source,
+    peaks,
     seed: int = 0,
     script: Sequence[BatchScript] | None = None,
 ) -> QualityRanking:
     """Mean-aggregated baseline; otherwise identical to :func:`ectai_run`."""
-    return _run_batches(devices, f, g, peak_source, seed, mean_of, script)
+    return _run_batches(devices, f, g, peaks, seed, mean_of, script)

@@ -31,7 +31,7 @@ def plan_batches(devices, f, g, peak_source, batch_rng):
         reviewers = sorted(rng.sample(pool, g))
         positions = {d: rng.random() for d in eta}
         for r in reviewers:
-            peaks[(batch, r)] = peak_source.sample(batch, r, rng)
+            peaks[(batch, r)] = peak_source.sample(rng)
         scripts.append(BatchScript(tuple(eta), tuple(reviewers), positions))
         unranked = [d for d in unranked if d not in chosen]
     return scripts, peaks

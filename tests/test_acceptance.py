@@ -17,7 +17,6 @@ from crowdtier import (
     AdditiveValuation,
     BruteForceOracle,
     NotifyModel,
-    ScriptedOracle,
     at_least_one,
     build_graph,
     expected_notified,
@@ -35,12 +34,8 @@ from crowdtier import (
     wipd_run,
 )
 from crowdtier.cli import main
-from crowdtier.harness import (
-    find_avr_witness,
-    find_greedy_witness,
-    find_ntbfm_witness,
-    stream,
-)
+from crowdtier.harness import stream
+from helpers import ScriptedOracle, find_avr_witness, find_greedy_witness, find_ntbfm_witness
 from tests.test_auction import SCRIPT_8X3
 from tests.test_quality import EXAMPLE_REPORTS, EXAMPLE_SCRIPTS
 
@@ -198,10 +193,10 @@ def test_criterion_05_median_strategyproof_avr_not():
 
 
 def test_criterion_06_ectai_example_replay():
-    from crowdtier import ScriptedPeaks, ectai_run
+    from crowdtier import ectai_run
 
     ranking = ectai_run(
-        range(1, 13), 3, 5, ScriptedPeaks(EXAMPLE_REPORTS),
+        range(1, 13), 3, 5, EXAMPLE_REPORTS,
         seed=0, script=EXAMPLE_SCRIPTS,
     )
     medians = [round(b.aggregate, 2) for b in ranking.batches]

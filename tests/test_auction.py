@@ -9,7 +9,6 @@ from crowdtier import (
     BruteForceOracle,
     ConfigError,
     DomainError,
-    ScriptedOracle,
     TableValuation,
     TerminationError,
     brute_force_demand,
@@ -18,6 +17,7 @@ from crowdtier import (
     notifier_utility,
     wipd_run,
 )
+from helpers import ScriptedOracle
 
 # Four-pass scripted trace on eight tasks and three devices reaching the
 # partition {1: t0-t2, 2: t3,t5,t7, 3: t4,t6}.
@@ -86,26 +86,6 @@ class TestValuations:
         assert v.value({0, 1, 2}) == 5
         assert v.value({0}) == 0
         assert v.value({2, 3}) == 2
-
-    def test_table_from_json(self):
-        table = TableValuation.from_json(
-            '{"0": [{"subset": [0, 1], "value": 5}]}'
-        )
-        assert table[0].value({0, 1, 3}) == 5
-
-    @pytest.mark.parametrize("text", [
-        "{bad",
-        '{"0": [{"subset": [0, 1]}]}',
-        '{"0": [{"value": 5}]}',
-        '{"0": [{"subset": [0], "value": "lots"}]}',
-        '{"0": 5}',
-        "[1, 2]",
-        # Nested deeper than json.loads recurses.
-        pytest.param("[" * 100_000, id="nested"),
-    ])
-    def test_table_from_json_malformed_is_config_error(self, text):
-        with pytest.raises(ConfigError):
-            TableValuation.from_json(text)
 
 
 class TestBruteForceDemand:

@@ -11,12 +11,8 @@ import crowdtier
 from crowdtier import ConfigError, ExperimentConfig, run_experiment
 from crowdtier import harness
 from crowdtier.cli import _load_costs_csv, main
-from crowdtier.harness import (
-    find_avr_witness,
-    find_greedy_witness,
-    find_ntbfm_witness,
-    synthetic_graph,
-)
+from crowdtier.harness import synthetic_graph
+from helpers import find_avr_witness, find_greedy_witness, find_ntbfm_witness
 from crowdtier import nam_select, ntbfm, psm
 
 
@@ -284,12 +280,24 @@ class TestCli:
     @pytest.mark.parametrize("budget, message", [
         ("abc", "--budget must be a finite number, got 'abc'"),
         ("nan", "--budget must be a finite number, got 'nan'"),
+        ("1/1e5000", "--budget must be a finite number, got '1/1e5000'"),
         ("1e5000", f"--budget: number has more than {sys.get_int_max_str_digits()} digits: "
                    "'1e5000'"),
     ])
     def test_bad_budget_prints_one_error_line(self, capsys, ex6_paths, budget, message):
         graph, costs = ex6_paths
         code = main(["tenm", "--graph", graph, "--budget", budget, "--costs", costs])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message}"]
+
+    @pytest.mark.parametrize("epsilon, message", [
+        ("1/1e9999", "--epsilon must be a finite number, got '1/1e9999'"),
+        ("1e-5000", f"--epsilon: number has more than {sys.get_int_max_str_digits()} digits: "
+                    "'1e-5000'"),
+    ])
+    def test_bad_epsilon_prints_one_error_line(self, capsys, epsilon, message):
+        code = main(["wipd", "--num-tasks", "3", "--bidders", "2", "--epsilon", epsilon])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {message}"]

@@ -301,6 +301,13 @@ class TestAsFraction:
         with pytest.raises(DomainError, match=r"more than \d+ digits"):
             as_fraction(text)
 
+    @pytest.mark.parametrize("text", ["1/1e5000", "1e5000/3", "1/1e9999"])
+    def test_fraction_text_with_exponent_is_not_a_number(self, text):
+        # A "/" string takes no exponent, so no digit-limit text is given.
+        with pytest.raises(DomainError) as exc:
+            as_fraction(text)
+        assert str(exc.value) == f"not a finite rational number: {text!r}"
+
     def test_literal_at_the_digit_limit_is_exact(self):
         limit = sys.get_int_max_str_digits()
         assert as_fraction(f"1e{limit}") == 10**limit

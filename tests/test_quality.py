@@ -9,7 +9,6 @@ from crowdtier import (
     ConfigError,
     DomainError,
     NormalPeaks,
-    ScriptedPeaks,
     UniformPeaks,
     avr_run,
     ectai_run,
@@ -96,7 +95,7 @@ class TestSelectQuality:
 class TestScriptedReplay:
     def test_example_batch_winners(self):
         ranking = ectai_run(
-            range(1, 13), 3, 5, ScriptedPeaks(EXAMPLE_REPORTS),
+            range(1, 13), 3, 5, EXAMPLE_REPORTS,
             seed=0, script=EXAMPLE_SCRIPTS,
         )
         assert ranking.ordered == [4, 3, 10, 8]
@@ -106,7 +105,7 @@ class TestScriptedReplay:
 
     def test_replay_partition(self):
         ranking = ectai_run(
-            range(1, 13), 3, 5, ScriptedPeaks(EXAMPLE_REPORTS),
+            range(1, 13), 3, 5, EXAMPLE_REPORTS,
             seed=0, script=EXAMPLE_SCRIPTS,
         )
         ranked = [d for b in ranking.batches for d, _ in b.panel]
@@ -118,43 +117,47 @@ class TestScriptedReplay:
 
         monkeypatch.setattr(quality, "_batch_rng", refuse)
         ranking = ectai_run(
-            range(1, 13), 3, 5, ScriptedPeaks(EXAMPLE_REPORTS),
+            range(1, 13), 3, 5, EXAMPLE_REPORTS,
             seed=0, script=EXAMPLE_SCRIPTS,
         )
         assert ranking.ordered == [4, 3, 10, 8]
 
-    def test_drawing_source_replay_reads_batch_stream(self):
-        ranking = ectai_run(range(1, 13), 3, 5, UniformPeaks(), seed=4,
-                            script=EXAMPLE_SCRIPTS)
-        for b, entry in enumerate(EXAMPLE_SCRIPTS):
-            rng = _batch_rng(4, b)
-            want = {r: rng.random() for r in entry.reviewers}
-            assert ranking.batches[b].reports == want
-
     def test_script_reranking_rejected(self):
         bad = [EXAMPLE_SCRIPTS[0], EXAMPLE_SCRIPTS[0]]
         with pytest.raises(ConfigError):
-            ectai_run(range(1, 13), 3, 5, ScriptedPeaks(EXAMPLE_REPORTS),
+            ectai_run(range(1, 13), 3, 5, EXAMPLE_REPORTS,
                       script=bad)
 
     def test_reviewer_in_panel_rejected(self):
         bad = [BatchScript((1, 2), (2, 3), {1: 0.1, 2: 0.2})]
         with pytest.raises(ConfigError):
-            ectai_run(range(1, 3), 2, 2, ScriptedPeaks({}), script=bad)
+            ectai_run(range(1, 3), 2, 2, {}, script=bad)
 
     def test_missing_scripted_report_rejected(self):
         with pytest.raises(DomainError):
-            ectai_run(range(1, 13), 3, 5, ScriptedPeaks({}),
+            ectai_run(range(1, 13), 3, 5, {},
                       script=EXAMPLE_SCRIPTS)
 
-    def test_scripted_peaks_csv(self):
-        peaks = ScriptedPeaks.from_csv("batch,reviewer,alpha\n0,1,0.25\n")
-        assert peaks.sample(0, 1, random.Random(0)) == 0.25
+    def test_missing_scripted_report_names_batch_and_reviewer(self):
+        scripts = [BatchScript((0,), (1,), {0: 0.5})]
+        with pytest.raises(DomainError) as exc:
+            ectai_run(range(2), 1, 1, {(0, 0): 0.5}, script=scripts)
+        assert str(exc.value) == "no scripted report for batch 0, reviewer 1"
 
-    @pytest.mark.parametrize("row", ["0,1", "0,1,0.2,9", "0,x,0.2", "0,1,high"])
-    def test_scripted_peaks_csv_bad_row_is_line_numbered(self, row):
-        with pytest.raises(ConfigError, match="line 3"):
-            ScriptedPeaks.from_csv(f"batch,reviewer,alpha\n0,1,0.25\n{row}\n")
+    @pytest.mark.parametrize("script, message", [
+        ([BatchScript((0,), (1,), {})], "scripted batch 0 gives no position to devices [0]"),
+        ([BatchScript((9,), (1,), {9: 0.5})], "scripted batch 0 ranks unknown devices [9]"),
+        ([BatchScript((0,), (9,), {0: 0.5})], "scripted batch 0 has unknown reviewers [9]"),
+        ([BatchScript((0,), (1,), {0: 0.5})] * 2, "scripted batch 1 re-ranks devices [0]"),
+        ([BatchScript((0,), (0,), {0: 0.5})],
+         "scripted batch 0 has reviewers inside the ranked panel [0]"),
+        ([BatchScript((0,), (1, 1), {0: 0.5})], "scripted batch 0 repeats devices [1]"),
+        ([BatchScript((0, 0), (1,), {0: 0.5})], "scripted batch 0 repeats devices [0]"),
+    ])
+    def test_malformed_script_is_config_error(self, script, message):
+        with pytest.raises(ConfigError) as exc:
+            ectai_run(range(2), 1, 1, {(0, 1): 0.5, (0, 9): 0.5}, script=script)
+        assert str(exc.value) == message
 
 
 class TestPlanBatches:
@@ -174,9 +177,25 @@ class TestPlanBatches:
     def test_replay_of_plan_matches_unscripted_run(self):
         scripts, peaks = plan_batches(range(20), 3, 4, NormalPeaks(),
                                       lambda b: _batch_rng(5, b))
-        replayed = ectai_run(range(20), 3, 4, ScriptedPeaks(peaks), script=scripts)
+        replayed = ectai_run(range(20), 3, 4, peaks, script=scripts)
         direct = ectai_run(range(20), 3, 4, NormalPeaks(), seed=5)
-        assert replayed.to_dict() == direct.to_dict()
+        assert replayed == direct
+
+    def test_avr_replay_of_plan_matches_unscripted_run(self):
+        scripts, reports = plan_batches(range(20), 3, 4, UniformPeaks(),
+                                        lambda b: _batch_rng(3, b))
+        replayed = avr_run(range(20), 3, 4, reports, script=scripts)
+        assert replayed == avr_run(range(20), 3, 4, UniformPeaks(), seed=3)
+
+    def test_peak_source_needs_only_sample_rng(self):
+        class Fixed:
+            def sample(self, rng):
+                return 0.25
+
+        scripts, reports = plan_batches(range(10), 2, 3, Fixed(), random.Random)
+        assert set(reports.values()) == {0.25}
+        ranking = ectai_run(range(10), 2, 3, Fixed(), seed=1)
+        assert [b.aggregate for b in ranking.batches] == [0.25] * 5
 
     def test_f_plus_g_beyond_population_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -201,9 +220,9 @@ class TestGeneratedRuns:
     def test_deterministic_given_seed(self):
         a = ectai_run(range(18), 3, 4, NormalPeaks(), seed=11)
         b = ectai_run(range(18), 3, 4, NormalPeaks(), seed=11)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
         c = ectai_run(range(18), 3, 4, NormalPeaks(), seed=12)
-        assert a.ordered != c.ordered or a.to_dict() != c.to_dict()
+        assert a.ordered != c.ordered or a != c
 
     def test_avr_differs_only_in_aggregate(self):
         med = ectai_run(range(12), 3, 3, UniformPeaks(), seed=4)
@@ -223,7 +242,7 @@ class TestGeneratedRuns:
         src = NormalPeaks(mu=0.5, sigma=5.0)
         rng = random.Random(0)
         for _ in range(200):
-            assert 0.0 <= src.sample(0, 0, rng) <= 1.0
+            assert 0.0 <= src.sample(rng) <= 1.0
 
     @pytest.mark.parametrize("mu, sigma", [
         (float("nan"), 0.3), (float("inf"), 0.3), (0.5, float("nan")), (0.5, float("inf")),
@@ -236,7 +255,7 @@ class TestGeneratedRuns:
     def test_report_outside_unit_interval_rejected(self):
         scripts = [BatchScript((0,), (1,), {0: 0.5})]
         with pytest.raises(DomainError):
-            ectai_run(range(2), 1, 1, ScriptedPeaks({(0, 1): 1.5}),
+            ectai_run(range(2), 1, 1, {(0, 1): 1.5},
                       script=scripts)
 
 
