@@ -10,8 +10,6 @@ from .auction import (
     AdditiveValuation,
     AuctionOutcome,
     BruteForceOracle,
-    TableValuation,
-    brute_force_demand,
     greedy_baseline,
     gs_check,
     wipd_run,
@@ -81,12 +79,10 @@ __all__ = [
     "NotifyModel",
     "QualityRanking",
     "SocialGraph",
-    "TableValuation",
     "TerminationError",
     "UniformPeaks",
     "at_least_one",
     "avr_run",
-    "brute_force_demand",
     "build_graph",
     "canonical_json",
     "chernoff_tail",

@@ -8,14 +8,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError, InvariantError, TerminationError
 from .notifier import Numeric, as_fraction
 
-DEMAND_ENUM_CAP = 20
 DEMAND_POLICIES = ("paper-literal", "net-gain")
 
 
@@ -45,90 +44,33 @@ class AdditiveValuation:
         return AdditiveValuation({t: v * f for t, v in self.per_task.items()})
 
 
-class TableValuation:
-    """Valuation listed on explicit subsets, extended by monotone closure:
-    an unlisted bundle is worth the best listed bundle it contains."""
-
-    def __init__(self, listed: Mapping[frozenset, Numeric]):
-        self.listed = {frozenset(s): as_fraction(v) for s, v in listed.items()}
-        for s, v in self.listed.items():
-            if v < 0:
-                raise DomainError(f"negative value for bundle {sorted(s)}")
-
-    def value(self, bundle: Iterable[int]) -> Fraction:
-        bundle = frozenset(bundle)
-        best = Fraction(0)
-        for s, v in self.listed.items():
-            if s <= bundle and v > best:
-                best = v
-        return best
-
-    def max_value(self) -> Fraction:
-        return max(self.listed.values(), default=Fraction(0))
-
-
 # --- demand ---------------------------------------------------------------
 
-def brute_force_demand(
-    valuation,
-    holdings: frozenset[int],
-    prices: Sequence[Fraction],
-    epsilon: Numeric,
-    policy: str = "net-gain",
-) -> frozenset[int]:
-    """Exhaustive demand query over all bundles of unheld tasks.
-
-    The score of a candidate F is the payment the device would collect,
-    sum(p[j] for held) + sum(p[j] + eps for j in F), minus its valuation
-    of holdings | F.  The net-gain policy maximizes the score (the
-    device's utility change); the paper-literal policy minimizes it.
-    Ties break to the smallest bundle, then lexicographically, so the
-    empty set wins whenever it ties.
-    """
-    m = len(prices)
-    if m > DEMAND_ENUM_CAP:
-        raise ConfigError(f"demand enumeration capped at {DEMAND_ENUM_CAP} tasks, got {m}")
-    if policy not in DEMAND_POLICIES:
-        raise ConfigError(f"unknown demand policy {policy!r}")
-    eps = as_fraction(epsilon)
-    free = [t for t in range(m) if t not in holdings]
-    base = sum((prices[j] for j in holdings), Fraction(0))
-    sign = -1 if policy == "net-gain" else 1
-
-    best_key = None
-    best: frozenset[int] = frozenset()
-    for r in range(len(free) + 1):
-        for combo in itertools.combinations(free, r):
-            bundle = holdings | frozenset(combo)
-            score = base + sum((prices[j] + eps for j in combo), Fraction(0))
-            score -= valuation.value(bundle)
-            key = (sign * score, r, combo)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = frozenset(combo)
-    return best
-
-
 class BruteForceOracle:
-    """Demand oracle over stored valuations.
+    """Demand oracle over additive valuations.
 
     Like every oracle ``wipd_run`` drives, it answers ``demand(device,
     holdings, levels, epsilon, round_index)``, where task j costs
-    ``levels[j] * epsilon``.  For an ``AdditiveValuation`` the bundle is
-    found task by task: paper-literal takes unheld task j iff
-    p_j + epsilon < v_j, net-gain iff p_j + epsilon > v_j, and an unlisted
-    task is worth 0.  That is ``brute_force_demand``'s bundle, since a tie
-    only adds size, which its smallest-bundle rule never picks.  Each rule
-    is an integer cut computed once per (device, epsilon): paper-literal
-    takes j iff levels[j] < ceil(v_j / epsilon) - 1, net-gain iff
-    levels[j] >= floor(v_j / epsilon).  Any other valuation enumerates
-    bundles (``brute_force_demand``), so ``DEMAND_ENUM_CAP`` binds only
-    non-additive valuations.
+    ``levels[j] * epsilon``.  The bundle is found task by task:
+    paper-literal takes unheld task j iff p_j + epsilon < v_j, net-gain
+    iff p_j + epsilon > v_j, and an unlisted task is worth 0.  Under an
+    additive valuation that is the bundle an exhaustive search over all
+    bundles of unheld tasks picks when ties break to the smallest bundle,
+    since a tie only adds size.  Each rule is an integer cut computed
+    once per (device, epsilon): paper-literal takes j iff
+    levels[j] < ceil(v_j / epsilon) - 1, net-gain iff
+    levels[j] >= floor(v_j / epsilon).
     """
 
-    def __init__(self, valuations: Mapping[int, object], policy: str = "net-gain"):
+    def __init__(self, valuations: Mapping[int, AdditiveValuation], policy: str = "net-gain"):
         if policy not in DEMAND_POLICIES:
             raise ConfigError(f"unknown demand policy {policy!r}")
+        for device, valuation in valuations.items():
+            if not isinstance(valuation, AdditiveValuation):
+                raise ConfigError(
+                    f"valuation of device {device} is {type(valuation).__name__}, "
+                    "not an AdditiveValuation"
+                )
         self.valuations = dict(valuations)
         self.policy = policy
         self._cuts: dict[int, list[int]] = {}
@@ -142,15 +84,14 @@ class BruteForceOracle:
                 for v in values]
 
     def demand(self, device, holdings, levels, epsilon, round_index) -> frozenset[int]:
-        valuation = self.valuations[device]
-        if not isinstance(valuation, AdditiveValuation):
-            eps = as_fraction(epsilon)
-            prices = [k * eps for k in levels]
-            return brute_force_demand(valuation, holdings, prices, eps, self.policy)
         if self._cuts_for != (epsilon, len(levels)):
             self._cuts_for, self._cuts = (epsilon, len(levels)), {}
         if device not in self._cuts:
-            self._cuts[device] = self._additive_cuts(valuation, as_fraction(epsilon), len(levels))
+            if device not in self.valuations:
+                raise DomainError(f"no valuation for device {device}")
+            self._cuts[device] = self._additive_cuts(
+                self.valuations[device], as_fraction(epsilon), len(levels)
+            )
         takes = operator.lt if self.policy == "paper-literal" else operator.ge
         hits = map(takes, levels, self._cuts[device])
         return frozenset(itertools.compress(itertools.count(), hits)) - holdings
@@ -163,22 +104,11 @@ class BruteForceOracle:
 # --- ascending auction ----------------------------------------------------
 
 @dataclass
-class TraceEntry:
-    round: int
-    device: int
-    demanded: tuple[int, ...]
-    prices_after: tuple[Fraction, ...]
-
-
-@dataclass
 class AuctionOutcome:
-    mechanism: str
-    num_tasks: int
     allocation: dict[int, frozenset[int]]
     payments: dict[int, Fraction]
     prices: tuple[Fraction, ...]
     rounds: int
-    trace: list[TraceEntry] = field(default_factory=list)
 
     def check(self) -> None:
         taken: set[int] = set()
@@ -205,8 +135,7 @@ def wipd_run(
     Devices are visited in ascending id order; a non-empty demand F is
     granted (stripping F from every other holder) and each task in F
     rises in price by epsilon.  The auction ends on the first full pass
-    with no demand; exceeding ``max_rounds`` raises TerminationError
-    with the trace attached.
+    with no demand; exceeding ``max_rounds`` raises TerminationError.
 
     Prices are levels[j] * epsilon: the oracle is asked ``demand(device,
     holdings, levels, epsilon, round_index)`` with the live list of
@@ -228,8 +157,6 @@ def wipd_run(
     levels = [0] * num_tasks
     owner: list[int | None] = [None] * num_tasks
     holdings = {i: frozenset() for i in order}
-    ladder = [Fraction(0)]  # ladder[k] = k * eps, the price at level k
-    trace: list[TraceEntry] = []
 
     for round_index in range(1, max_rounds + 1):
         settled = True
@@ -249,28 +176,17 @@ def wipd_run(
             for j in demanded:
                 owner[j] = i
                 levels[j] += 1
-            top = max(map(levels.__getitem__, demanded))  # at most one rung above the ladder
-            if top == len(ladder):
-                ladder.append(top * eps)
-            trace.append(TraceEntry(
-                round_index, i, tuple(sorted(demanded)), tuple(map(ladder.__getitem__, levels))
-            ))
         if settled:
             outcome = AuctionOutcome(
-                mechanism="wipd",
-                num_tasks=num_tasks,
                 allocation=holdings,
                 payments={i: sum(levels[j] for j in holdings[i]) * eps for i in order},
-                prices=tuple(map(ladder.__getitem__, levels)),
+                prices=tuple(k * eps for k in levels),
                 rounds=round_index,
-                trace=trace,
             )
             outcome.check()
             return outcome
 
-    raise TerminationError(
-        f"auction did not settle within {max_rounds} passes", trace
-    )
+    raise TerminationError(f"auction did not settle within {max_rounds} passes")
 
 
 # --- gross substitutes ----------------------------------------------------
@@ -364,8 +280,6 @@ def greedy_baseline(
             taken |= bundle
 
     return AuctionOutcome(
-        mechanism="greedy",
-        num_tasks=num_tasks,
         allocation=allocation,
         payments=payments,
         prices=tuple(Fraction(0) for _ in range(num_tasks)),

@@ -23,15 +23,7 @@ class ConfigError(CrowdtierError):
 
 
 class TerminationError(CrowdtierError):
-    """Auction dynamics failed to settle within the round guard.
-
-    The per-round demand trace accumulated so far is attached for
-    diagnosis of adversarial or misconfigured demand oracles.
-    """
-
-    def __init__(self, message: str, trace):
-        self.trace = trace
-        super().__init__(message)
+    """Auction dynamics failed to settle within the round guard."""
 
 
 class InvariantError(CrowdtierError):

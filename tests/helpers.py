@@ -1,6 +1,6 @@
-"""Test-only scaffolding: a scripted demand oracle for ``wipd_run`` and
-the manipulability witness searches of the acceptance criteria.  Nothing
-in the package calls these, so they live with the tests.
+"""Test-only scaffolding: a scripted and a recording demand oracle for
+``wipd_run``, and the manipulability witness searches of the acceptance
+criteria.  Nothing in the package calls these, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -26,6 +26,24 @@ class ScriptedOracle:
     def max_rounds_hint(self, num_tasks: int, epsilon: Fraction) -> int:
         last = max((r for r, _ in self.script), default=0)
         return last + 2
+
+
+class RecordingOracle:
+    """Wraps a demand oracle and logs every query as ``(round, device,
+    levels, answer)``, with a snapshot of the price levels the device saw.
+    Other attributes, such as ``max_rounds_hint``, pass through."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.log: list[tuple[int, int, tuple[int, ...], frozenset[int]]] = []
+
+    def demand(self, device, holdings, levels, epsilon, round_index) -> frozenset[int]:
+        answer = frozenset(self.oracle.demand(device, holdings, levels, epsilon, round_index))
+        self.log.append((round_index, device, tuple(levels), answer))
+        return answer
+
+    def __getattr__(self, name):
+        return getattr(self.oracle, name)
 
 
 # --- manipulability witness searches --------------------------------------

@@ -3,7 +3,6 @@ each.  Lines are written to the real stdout so they appear regardless of
 pytest's capture settings.
 """
 
-import itertools
 import math
 import pathlib
 import random
@@ -35,7 +34,13 @@ from crowdtier import (
 )
 from crowdtier.cli import main
 from crowdtier.harness import stream
-from helpers import ScriptedOracle, find_avr_witness, find_greedy_witness, find_ntbfm_witness
+from helpers import (
+    RecordingOracle,
+    ScriptedOracle,
+    find_avr_witness,
+    find_greedy_witness,
+    find_ntbfm_witness,
+)
 from tests.test_auction import SCRIPT_8X3
 from tests.test_quality import EXAMPLE_REPORTS, EXAMPLE_SCRIPTS
 
@@ -221,6 +226,8 @@ def test_criterion_07_wipd_invariants():
     reference_triple = sorted(scripted.payments.values(), reverse=True)
 
     rng = random.Random(7)
+    eps = Fraction(1)
+    allocated = 0
     for _ in range(100):
         m = rng.randint(2, 8)
         devices = list(range(rng.randint(2, 4)))
@@ -228,13 +235,13 @@ def test_criterion_07_wipd_invariants():
             d: AdditiveValuation({t: rng.randint(1, 9) for t in range(m)})
             for d in devices
         }
-        oracle = BruteForceOracle(vals, policy="net-gain")
-        eps = Fraction(1)
+        recorder = RecordingOracle(BruteForceOracle(vals, policy="paper-literal"))
         try:
-            out = wipd_run(m, devices, oracle, eps)
+            out = wipd_run(m, devices, recorder, eps)
         except Exception as exc:  # termination failure is a criterion failure
             problems.append(f"did not settle: {exc}")
             continue
+        allocated += any(out.allocation.values())
         taken = set()
         for d, bundle in out.allocation.items():
             if bundle & taken:
@@ -242,27 +249,25 @@ def test_criterion_07_wipd_invariants():
             taken |= bundle
             if out.payments[d] != sum((out.prices[t] for t in bundle), Fraction(0)):
                 problems.append("payment identity violated")
-        prev = tuple(Fraction(0) for _ in range(m))
-        for entry in out.trace:
-            if any(a > b for a, b in zip(prev, entry.prices_after)):
+        prev = (0,) * m
+        for _, _, levels, _ in recorder.log:
+            if any(a > b for a, b in zip(prev, levels)):
                 problems.append("price decreased")
-            prev = entry.prices_after
-        # epsilon-stability: at the settled prices no bundle improves a
-        # device's utility by more than (m + |bundle|) * eps.
+            prev = levels
+        # Paper-literal settles when no device wants a task it does not
+        # hold: each values it at most p_j + eps.  Each holder took its
+        # tasks while p_j + eps < v_j, so it values them above p_j.
+        owner = {t: d for d, bundle in out.allocation.items() for t in bundle}
         for d in devices:
-            held = out.allocation[d]
-            current = out.payments[d] - vals[d].value(held)
-            free = [t for t in range(m) if t not in held]
-            for r in range(len(free) + 1):
-                for combo in itertools.combinations(free, r):
-                    bundle = held | frozenset(combo)
-                    gain = sum((out.prices[t] for t in bundle), Fraction(0))
-                    gain -= vals[d].value(bundle)
-                    if gain - current > (m + len(held)) * eps:
-                        problems.append("epsilon-stability violated")
-    ok = not problems
-    report(7, ok, f"scripted partition ok, 100 net-gain instances; "
-                  f"reference payments={[str(p) for p in reference_triple]}; "
+            for t in range(m):
+                value = vals[d].per_task[t]
+                if owner.get(t) == d and not value > out.prices[t]:
+                    problems.append("holder values a held task at or below its price")
+                if owner.get(t) != d and value > out.prices[t] + eps:
+                    problems.append("epsilon-stability violated")
+    ok = not problems and allocated == 100
+    report(7, ok, f"scripted partition ok, {allocated}/100 paper-literal instances "
+                  f"allocate; reference payments={[str(p) for p in reference_triple]}; "
                   f"problems={problems[:3]}")
 
 

@@ -9,17 +9,16 @@ from crowdtier import (
     BruteForceOracle,
     ConfigError,
     DomainError,
-    TableValuation,
     TerminationError,
-    brute_force_demand,
     greedy_baseline,
     gs_check,
     notifier_utility,
     wipd_run,
 )
-from helpers import ScriptedOracle
+from helpers import RecordingOracle, ScriptedOracle
+from reference_auction import TableValuation
 
-# Four-pass scripted trace on eight tasks and three devices reaching the
+# Four-pass script on eight tasks and three devices reaching the
 # partition {1: t0-t2, 2: t3,t5,t7, 3: t4,t6}.
 SCRIPT_8X3 = {
     (1, 1): {0, 1, 2}, (1, 2): {3, 5, 7}, (1, 3): {4},
@@ -30,7 +29,7 @@ SCRIPT_8X3 = {
 
 def naive_demand(valuation, holdings, prices, eps, policy):
     """Direct enumeration with explicit tie-breaking, written separately
-    from the production combinations-based search."""
+    from the oracle's per-task rule."""
     free = [t for t in range(len(prices)) if t not in holdings]
     best = None
     for r in range(len(free) + 1):
@@ -88,64 +87,58 @@ class TestValuations:
         assert v.value({2, 3}) == 2
 
 
+def demand_at(per_task, levels, policy):
+    """One query of a single-device oracle at epsilon 1, holding nothing."""
+    oracle = BruteForceOracle({0: AdditiveValuation(per_task)}, policy)
+    return oracle.demand(0, frozenset(), list(levels), Fraction(1), 1)
+
+
 class TestBruteForceDemand:
     def test_net_gain_prefers_empty_when_prices_low(self):
         # Payment p + eps below value on every bundle: no positive gain,
         # so the empty set wins.
-        v = AdditiveValuation({0: 5, 1: 5})
-        assert brute_force_demand(v, frozenset(), (Fraction(0),) * 2, 1, "net-gain") == frozenset()
+        assert demand_at({0: 5, 1: 5}, (0, 0), "net-gain") == frozenset()
 
     def test_net_gain_takes_profitable_bundle(self):
-        v = AdditiveValuation({0: 1, 1: 5})
-        got = brute_force_demand(v, frozenset(), (Fraction(8), Fraction(0)), 1, "net-gain")
-        assert got == frozenset({0})
+        assert demand_at({0: 1, 1: 5}, (8, 0), "net-gain") == frozenset({0})
 
     def test_paper_literal_takes_value_over_payment(self):
-        v = AdditiveValuation({0: 5, 1: 2})
-        got = brute_force_demand(v, frozenset(), (Fraction(0),) * 2, 1, "paper-literal")
-        assert got == frozenset({0, 1})
+        assert demand_at({0: 5, 1: 2}, (0, 0), "paper-literal") == frozenset({0, 1})
 
     def test_paper_literal_skips_overpriced(self):
-        v = AdditiveValuation({0: 5})
-        got = brute_force_demand(v, frozenset(), (Fraction(9),), 1, "paper-literal")
-        assert got == frozenset()
+        assert demand_at({0: 5}, (9,), "paper-literal") == frozenset()
 
     def test_ties_prefer_smaller_then_lexicographic(self):
         # Both singletons and the empty set score 0 under net-gain.
-        v = AdditiveValuation({0: 1, 1: 1})
-        got = brute_force_demand(v, frozenset(), (Fraction(0),) * 2, 1, "net-gain")
-        assert got == frozenset()
+        assert demand_at({0: 1, 1: 1}, (0, 0), "net-gain") == frozenset()
 
     def test_matches_naive_enumeration(self):
         rng = random.Random(13)
         for _ in range(60):
             m = rng.randint(1, 5)
             v = AdditiveValuation({t: rng.randint(0, 6) for t in range(m)})
-            prices = tuple(Fraction(rng.randint(0, 5)) for _ in range(m))
+            levels = [rng.randint(0, 5) for _ in range(m)]
             held = frozenset(t for t in range(m) if rng.random() < 0.3)
             for policy in ("net-gain", "paper-literal"):
-                assert brute_force_demand(v, held, prices, 1, policy) == naive_demand(
-                    v, held, prices, Fraction(1), policy
+                oracle = BruteForceOracle({0: v}, policy)
+                assert oracle.demand(0, held, levels, Fraction(1), 1) == naive_demand(
+                    v, held, tuple(map(Fraction, levels)), Fraction(1), policy
                 )
-
-    def test_enumeration_cap(self):
-        v = AdditiveValuation({})
-        with pytest.raises(ConfigError):
-            brute_force_demand(v, frozenset(), (Fraction(0),) * 21, 1)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ConfigError):
-            brute_force_demand(AdditiveValuation({}), frozenset(), (), 1, "x")
 
     def test_oracle_rejects_unknown_policy_at_construction(self):
         with pytest.raises(ConfigError, match="policy"):
             BruteForceOracle({}, policy="x")
 
-    def test_oracle_enumerates_non_additive_valuations_up_to_cap(self):
-        table = TableValuation({frozenset({0, 20}): 5})
-        oracle = BruteForceOracle({0: table}, policy="paper-literal")
-        with pytest.raises(ConfigError, match="capped"):
-            oracle.demand(0, frozenset(), (Fraction(0),) * 21, 1, 1)
+    def test_oracle_rejects_non_additive_valuation_at_construction(self):
+        with pytest.raises(ConfigError, match="device 0 .* not an AdditiveValuation"):
+            BruteForceOracle({0: object()}, "paper-literal")
+        with pytest.raises(ConfigError, match="TableValuation"):
+            BruteForceOracle({0: TableValuation({frozenset({0, 1}): 5})}, "net-gain")
+
+    def test_device_without_valuation_is_a_domain_error(self):
+        oracle = BruteForceOracle({0: AdditiveValuation({0: 5})}, "paper-literal")
+        with pytest.raises(DomainError, match="device 5"):
+            wipd_run(1, [0, 5], oracle, 1)
 
 
 class TestWipdRun:
@@ -169,12 +162,14 @@ class TestWipdRun:
         assert out.payments[0] == 2
         assert out.rounds == 2
 
-    def test_price_monotone_along_trace(self):
-        out = wipd_run(8, [1, 2, 3], ScriptedOracle(SCRIPT_8X3), 1)
-        prev = tuple(Fraction(0) for _ in range(8))
-        for entry in out.trace:
-            assert all(a <= b for a, b in zip(prev, entry.prices_after))
-            prev = entry.prices_after
+    def test_price_monotone_along_queries(self):
+        recorder = RecordingOracle(ScriptedOracle(SCRIPT_8X3))
+        out = wipd_run(8, [1, 2, 3], recorder, 1)
+        prev = (0,) * 8
+        for _, _, levels, _ in recorder.log:
+            assert all(a <= b for a, b in zip(prev, levels))
+            prev = levels
+        assert all(k <= p for k, p in zip(prev, out.prices))  # epsilon 1: price = level
 
     def test_matches_naive_dynamics(self):
         rng = random.Random(23)
@@ -223,14 +218,16 @@ class TestWipdRun:
         assert all(not b for b in out.allocation.values())
         assert out.rounds == 1
 
-    def test_nonterminating_oracle_raises_with_trace(self):
+    def test_nonterminating_oracle_raises_after_max_rounds(self):
         class Grabby:
             def demand(self, device, holdings, prices, epsilon, round_index):
                 return frozenset() if 0 in holdings else frozenset({0})
 
-        with pytest.raises(TerminationError) as exc:
-            wipd_run(1, [0, 1], Grabby(), 1, max_rounds=15)
-        assert len(exc.value.trace) >= 15
+        recorder = RecordingOracle(Grabby())
+        with pytest.raises(TerminationError, match="15 passes"):
+            wipd_run(1, [0, 1], recorder, 1, max_rounds=15)
+        grants = [entry for entry in recorder.log if entry[3]]
+        assert len(grants) == 30 and recorder.log[-1][0] == 15
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ConfigError):

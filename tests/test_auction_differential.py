@@ -1,13 +1,14 @@
 """Differential test of per-task additive demand against bundle enumeration.
 
-``brute_force_demand`` scores every bundle of unheld tasks and is the
-reference.  For an additive valuation ``BruteForceOracle`` answers task by
-task instead: paper-literal takes task j iff p_j + epsilon < v_j, net-gain
-iff p_j + epsilon > v_j, and a task with no listed value is worth 0.  It
-must return the enumerator's bundle on every query, and a whole
-``wipd_run`` driven by it must match one driven by enumeration:
-allocation, prices, payments, rounds and every trace entry, or the same
-trace when the auction does not settle.
+``reference_auction.brute_force_demand`` scores every bundle of unheld
+tasks and is the reference.  ``BruteForceOracle`` answers task by task
+instead: paper-literal takes task j iff p_j + epsilon < v_j, net-gain iff
+p_j + epsilon > v_j, and a task with no listed value is worth 0.  It must
+return the enumerator's bundle on every query, and a whole ``wipd_run``
+driven by it must match one driven by ``EnumeratingOracle``: every
+recorded query and its answer, then allocation, prices, payments and
+rounds, or the same queries up to ``TerminationError`` when the auction
+does not settle.
 
 Values are drawn on a grid of sixths, and every epsilon is a multiple of
 1/6, so a price plus epsilon often equals a value exactly: the tie that
@@ -22,32 +23,14 @@ from fractions import Fraction
 
 import pytest
 
-from crowdtier import (
-    AdditiveValuation,
-    BruteForceOracle,
-    TerminationError,
-    brute_force_demand,
-    wipd_run,
-)
+from crowdtier import AdditiveValuation, BruteForceOracle, TerminationError, wipd_run
+from helpers import RecordingOracle
+from reference_auction import EnumeratingOracle, brute_force_demand
 
 POLICIES = ("paper-literal", "net-gain")
 EPSILONS = (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2))
 # A small cap keeps non-settling net-gain auctions cheap to replay.
 MAX_ROUNDS = 40
-
-
-class Enumerated:
-    """The wrapped valuation seen only through ``value``/``max_value``, so
-    ``BruteForceOracle`` cannot recognise it as additive and enumerates."""
-
-    def __init__(self, valuation):
-        self._valuation = valuation
-
-    def value(self, bundle):
-        return self._valuation.value(bundle)
-
-    def max_value(self):
-        return self._valuation.max_value()
 
 
 def sixths(rng: random.Random, hi: int) -> Fraction:
@@ -79,13 +62,13 @@ def test_oracle_query_on_price_levels_matches_enumeration(policy, eps):
         assert oracle.demand(0, holdings, levels, eps, 1) == expected
 
 
-def outcome_of(m, valuations, policy, eps):
-    oracle = BruteForceOracle(valuations, policy)
+def outcome_of(m, valuations, oracle, eps):
+    recorder = RecordingOracle(oracle)
     try:
-        out = wipd_run(m, sorted(valuations), oracle, eps, max_rounds=MAX_ROUNDS)
-    except TerminationError as exc:
-        return "unsettled", exc.trace
-    return "settled", out.allocation, out.prices, out.payments, out.rounds, out.trace
+        out = wipd_run(m, sorted(valuations), recorder, eps, max_rounds=MAX_ROUNDS)
+    except TerminationError:
+        return "unsettled", recorder.log
+    return "settled", recorder.log, out.allocation, out.prices, out.payments, out.rounds
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -96,12 +79,10 @@ def test_whole_auction_matches_enumeration(policy):
         m = rng.randint(1, 6)
         eps = rng.choice(EPSILONS)
         valuations = {d: random_valuation(rng, m, 6) for d in range(rng.randint(1, 4))}
-        additive = outcome_of(m, valuations, policy, eps)
-        enumerated = outcome_of(
-            m, {d: Enumerated(v) for d, v in valuations.items()}, policy, eps
-        )
+        additive = outcome_of(m, valuations, BruteForceOracle(valuations, policy), eps)
+        enumerated = outcome_of(m, valuations, EnumeratingOracle(valuations, policy), eps)
         assert additive == enumerated
         kinds.add(additive[0])
     # Net-gain pays devices to take tasks, so some of its auctions never
-    # settle; both paths must then leave the same trace.
+    # settle; both paths must then make the same queries.
     assert kinds == ({"settled", "unsettled"} if policy == "net-gain" else {"settled"})

@@ -245,7 +245,7 @@ class TestCli:
         assert result.stdout.startswith("usage: crowdtier")
 
     def test_wipd_cli_beyond_enumeration_cap(self, capsys):
-        # 30 tasks exceed DEMAND_ENUM_CAP; additive demand does not enumerate.
+        # 30 tasks mean 2^30 bundles; additive demand answers task by task.
         code = main(["wipd", "--num-tasks", "30", "--seed", "1"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)

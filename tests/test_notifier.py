@@ -150,6 +150,21 @@ class TestTenmRun:
         assert outcome.total_payment == 5
         assert outcome.total_payment <= budget
 
+    def test_ex6_profitable_underreport_when_cap_binds(self, ex6):
+        # Pins today's rule: selection admits under B/delta, payments are
+        # thresholds under B, so at delta = 2 label 6 is paid more than its
+        # critical value.  With true cost 5/2 it loses by telling the truth
+        # and gains 1/2 by reporting 2.
+        graph, costs, budget, to_dense, to_label = ex6
+        six = to_dense[6]
+        true_cost = Fraction(5, 2)
+        truthful = tenm_run(graph, {**costs, six: true_cost}, budget, 2)
+        assert [to_label[i] for i in truthful.selected] == [1]
+        lying = tenm_run(graph, {**costs, six: 2}, budget, 2)
+        assert [to_label[i] for i in lying.selected] == [1, 6]
+        assert lying.payments[six] == 3
+        assert notifier_utility(true_cost, lying.payments[six], True) == Fraction(1, 2)
+
     def test_deterministic(self, ex6):
         graph, costs, budget, _, _ = ex6
         a = tenm_run(graph, costs, budget)

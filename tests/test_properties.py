@@ -2,7 +2,10 @@
 
 ``tenm_run`` is budget feasible, individually rational, and monotone in a
 winner's own cost: a winner lowering its reported cost stays selected
-(Myerson 1981), which is what makes its threshold payment truthful.  PSM
+(Myerson 1981).  At delta = 1 each winner is paid its critical value, the
+highest report at which it still wins, which makes the mechanism truthful
+(Archer and Tardos 2001); at delta = 2 a payment is at least that value,
+and can exceed it.  PSM
 pays each of its k winners at least its cost and at most B / k
 (Singer 2010).  The paper-literal ascending auction on additive values
 allocates disjointly, charges each device the final prices of its
@@ -81,6 +84,34 @@ def test_tenm_winner_stays_selected_at_lower_cost(instance):
         for lower in range(1, costs[i]):
             selected, _ = nam_select(graph, {**costs, i: lower}, budget, delta)
             assert i in selected, (i, lower)
+
+
+# A report this far from a payment sits off the lowest-id tie at it.
+STEP = Fraction(1, 10**6)
+
+
+def _wins_at(graph, costs, budget, delta, i, report) -> bool:
+    selected, _ = nam_select(graph, {**costs, i: report}, budget, delta)
+    return i in selected
+
+
+@PROPERTIES
+@given(tier1_instances())
+def test_tenm_pays_the_critical_value_at_delta_1(instance):
+    graph, costs, budget, _ = instance
+    outcome = tenm_run(graph, costs, budget, 1)
+    for i, paid in outcome.payments.items():
+        assert _wins_at(graph, costs, budget, 1, i, paid - STEP), (i, paid)
+        assert not _wins_at(graph, costs, budget, 1, i, paid + STEP), (i, paid)
+
+
+@PROPERTIES
+@given(tier1_instances())
+def test_tenm_pays_at_least_the_critical_value_at_delta_2(instance):
+    graph, costs, budget, _ = instance
+    outcome = tenm_run(graph, costs, budget, 2)
+    for i, paid in outcome.payments.items():
+        assert not _wins_at(graph, costs, budget, 2, i, paid + STEP), (i, paid)
 
 
 def _tier1_outputs(graph, costs, budget, delta):
