@@ -15,16 +15,15 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ConfigError, DomainError, InvariantError, TerminationError
 from .notifier import Numeric, as_fraction
 
-DEMAND_POLICIES = ("paper-literal", "net-gain")
-
 
 # --- valuations -----------------------------------------------------------
 
 class AdditiveValuation:
-    """Sum of per-task values; the canonical gross-substitutes case."""
+    """Sum of per-task values; the canonical gross-substitutes case.  An
+    ``int`` value stays an ``int``, any other goes through :func:`as_fraction`."""
 
     def __init__(self, per_task: Mapping[int, Numeric]):
-        self.per_task = {t: as_fraction(v) for t, v in per_task.items()}
+        self.per_task = {t: v if type(v) is int else as_fraction(v) for t, v in per_task.items()}
         for t, v in self.per_task.items():
             if v < 0:
                 raise DomainError(f"negative value for task {t}")
@@ -51,19 +50,20 @@ class BruteForceOracle:
 
     Like every oracle ``wipd_run`` drives, it answers ``demand(device,
     holdings, levels, epsilon, round_index)``, where task j costs
-    ``levels[j] * epsilon``.  The bundle is found task by task:
-    paper-literal takes unheld task j iff p_j + epsilon < v_j, net-gain
-    iff p_j + epsilon > v_j, and an unlisted task is worth 0.  Under an
-    additive valuation that is the bundle an exhaustive search over all
-    bundles of unheld tasks picks when ties break to the smallest bundle,
-    since a tie only adds size.  Each rule is an integer cut computed
-    once per (device, epsilon): paper-literal takes j iff
-    levels[j] < ceil(v_j / epsilon) - 1, net-gain iff
-    levels[j] >= floor(v_j / epsilon).
+    ``levels[j] * epsilon``.  The bundle is found task by task: a device
+    takes unheld task j iff p_j + epsilon < v_j, and an unlisted task is
+    worth 0.  Under an additive valuation that is the bundle an
+    exhaustive search over all bundles of unheld tasks picks when ties
+    break to the smallest bundle, since a tie only adds size.  The rule
+    is an integer cut computed once per (device, epsilon): take j iff
+    levels[j] < ceil(v_j / epsilon) - 1.
+
+    ``policy`` names that rule and accepts only ``"paper-literal"``; the
+    keyword stays because the benchmark passes it.
     """
 
-    def __init__(self, valuations: Mapping[int, AdditiveValuation], policy: str = "net-gain"):
-        if policy not in DEMAND_POLICIES:
+    def __init__(self, valuations: Mapping[int, AdditiveValuation], policy: str = "paper-literal"):
+        if policy != "paper-literal":
             raise ConfigError(f"unknown demand policy {policy!r}")
         for device, valuation in valuations.items():
             if not isinstance(valuation, AdditiveValuation):
@@ -72,15 +72,14 @@ class BruteForceOracle:
                     "not an AdditiveValuation"
                 )
         self.valuations = dict(valuations)
-        self.policy = policy
         self._cuts: dict[int, list[int]] = {}
         self._cuts_for = None  # the (epsilon, task count) the cached cuts assume
 
-    def _additive_cuts(self, valuation: AdditiveValuation, eps: Fraction, m: int) -> list[int]:
-        # v / eps = num / den, den > 0: floor is num // den, ceil - 1 is (num - 1) // den.
-        shift = self.policy == "paper-literal"
-        values = map(valuation.per_task.get, range(m), itertools.repeat(Fraction(0)))
-        return [(v.numerator * eps.denominator - shift) // (v.denominator * eps.numerator)
+    @staticmethod
+    def _additive_cuts(valuation: AdditiveValuation, eps: Fraction, m: int) -> list[int]:
+        # v / eps = num / den, den > 0: ceil - 1 is (num - 1) // den.
+        values = map(valuation.per_task.get, range(m), itertools.repeat(0))
+        return [(v.numerator * eps.denominator - 1) // (v.denominator * eps.numerator)
                 for v in values]
 
     def demand(self, device, holdings, levels, epsilon, round_index) -> frozenset[int]:
@@ -92,8 +91,7 @@ class BruteForceOracle:
             self._cuts[device] = self._additive_cuts(
                 self.valuations[device], as_fraction(epsilon), len(levels)
             )
-        takes = operator.lt if self.policy == "paper-literal" else operator.ge
-        hits = map(takes, levels, self._cuts[device])
+        hits = map(operator.lt, levels, self._cuts[device])
         return frozenset(itertools.compress(itertools.count(), hits)) - holdings
 
     def max_rounds_hint(self, num_tasks: int, epsilon: Fraction) -> int:
@@ -250,7 +248,9 @@ def greedy_baseline(
     Devices are ordered ascending by bid / sqrt(bundle size) (exactly,
     via squared cross-comparison; ties to the lowest id) and accepted
     when their bundle is disjoint from everything accepted so far.
-    Winners are paid their bid.
+    Winners are paid their bid.  Each sold task is priced at its winner's
+    bid divided by the winner's bundle size and an unsold task at 0, so
+    every payment is the sum of its bundle's prices.
     """
     bids: dict[int, tuple[frozenset[int], Fraction]] = {}
     for i, (bundle, bid) in requests.items():
@@ -264,6 +264,9 @@ def greedy_baseline(
 
     if num_tasks is None:
         num_tasks = 1 + max((t for bundle, _ in bids.values() for t in bundle), default=-1)
+    for i, (bundle, _) in bids.items():
+        if min(bundle) < 0 or max(bundle) >= num_tasks:
+            raise DomainError(f"device {i} requested a task outside 0..{num_tasks - 1}")
 
     def sort_key(i: int):
         bundle, b = bids[i]
@@ -272,16 +275,20 @@ def greedy_baseline(
     taken: set[int] = set()
     allocation: dict[int, frozenset[int]] = {}
     payments: dict[int, Fraction] = {}
+    prices = [Fraction(0)] * num_tasks
     for i in sorted(bids, key=sort_key):
         bundle, b = bids[i]
         if not bundle & taken:
             allocation[i] = bundle
             payments[i] = b
             taken |= bundle
+            share = b / len(bundle)
+            for j in bundle:
+                prices[j] = share
 
     return AuctionOutcome(
         allocation=allocation,
         payments=payments,
-        prices=tuple(Fraction(0) for _ in range(num_tasks)),
+        prices=tuple(prices),
         rounds=1,
     )

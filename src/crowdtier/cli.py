@@ -208,7 +208,7 @@ def _cmd_wipd(args) -> int:
     else:
         vals = harness.additive_values(stream("valuations", args.seed), args.num_bidders,
                                        args.num_tasks, *args.val_range)
-    oracle = auction.BruteForceOracle(vals, policy=args.policy)
+    oracle = auction.BruteForceOracle(vals)
     outcome = auction.wipd_run(
         args.num_tasks, list(vals), oracle, args.epsilon, max_rounds=args.max_rounds,
     )
@@ -302,7 +302,6 @@ _FLAGS = {
     "--num-tasks": dict(type=_positive_int),
     "--bidders": dict(type=_positive_int, dest="num_bidders", metavar="BIDDERS"),
     "--valuations": dict(help="JSON of device -> {task: value}"),
-    "--policy": dict(choices=auction.DEMAND_POLICIES, default="paper-literal"),
     "--max-rounds": dict(type=_positive_int),
     "--degree": dict(type=_non_negative_int, required=True),
     "--p": dict(type=_probability, default=0.5),
@@ -357,8 +356,8 @@ def build_parser() -> _Parser:
         p.set_defaults(func=_cmd_quality)
 
     p = sub.add_parser("wipd", help="ascending epsilon-increment task auction")
-    _add_flags(p, "--num-tasks --bidders --val-range --valuations --epsilon --policy"
-                  " --max-rounds --out --format --seed")
+    _add_flags(p, "--num-tasks --bidders --val-range --valuations --epsilon --max-rounds"
+                  " --out --format --seed")
     p.set_defaults(func=_cmd_wipd)
 
     p = sub.add_parser("greedy", help="pay-as-bid greedy task baseline")

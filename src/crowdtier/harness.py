@@ -245,7 +245,7 @@ def _run_wipd_round(config: ExperimentConfig, r: int) -> dict:
     deviators = pick_deviators(range(config.num_bidders), config.deviation_frac, rng)
     factor = as_fraction(config.deviation_factor)
     reported = {d: v.scaled(factor if d in deviators else 1) for d, v in truth.items()}
-    oracle = auction.BruteForceOracle(reported, policy="paper-literal")
+    oracle = auction.BruteForceOracle(reported)
     outcome = auction.wipd_run(
         config.num_tasks, list(reported), oracle, config.epsilon
     )

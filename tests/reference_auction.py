@@ -14,8 +14,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from crowdtier.auction import DEMAND_POLICIES
-from crowdtier.errors import ConfigError, DomainError
+from crowdtier.errors import DomainError
 from crowdtier.notifier import Numeric, as_fraction
 
 
@@ -43,24 +42,19 @@ def brute_force_demand(
     holdings: frozenset[int],
     prices: Sequence[Fraction],
     epsilon: Numeric,
-    policy: str = "net-gain",
 ) -> frozenset[int]:
     """Exhaustive demand query over all bundles of unheld tasks.
 
-    The score of a candidate F is the payment the device would collect,
+    The score of a candidate F is what the device would pay,
     sum(p[j] for held) + sum(p[j] + eps for j in F), minus its valuation
-    of holdings | F.  The net-gain policy maximizes the score (the
-    device's utility change); the paper-literal policy minimizes it.
-    Ties break to the smallest bundle, then lexicographically, so the
-    empty set wins whenever it ties.
+    of holdings | F; the demanded bundle minimizes it.  Ties break to the
+    smallest bundle, then lexicographically, so the empty set wins
+    whenever it ties.
     """
-    if policy not in DEMAND_POLICIES:
-        raise ConfigError(f"unknown demand policy {policy!r}")
     eps = as_fraction(epsilon)
     m = len(prices)
     free = [t for t in range(m) if t not in holdings]
     base = sum((prices[j] for j in holdings), Fraction(0))
-    sign = -1 if policy == "net-gain" else 1
 
     best_key = None
     best: frozenset[int] = frozenset()
@@ -69,7 +63,7 @@ def brute_force_demand(
             bundle = holdings | frozenset(combo)
             score = base + sum((prices[j] + eps for j in combo), Fraction(0))
             score -= valuation.value(bundle)
-            key = (sign * score, r, combo)
+            key = (score, r, combo)
             if best_key is None or key < best_key:
                 best_key = key
                 best = frozenset(combo)
@@ -80,11 +74,10 @@ class EnumeratingOracle:
     """``wipd_run`` oracle answering every query with ``brute_force_demand``
     at prices ``levels[j] * epsilon``."""
 
-    def __init__(self, valuations: Mapping[int, object], policy: str):
+    def __init__(self, valuations: Mapping[int, object]):
         self.valuations = dict(valuations)
-        self.policy = policy
 
     def demand(self, device, holdings, levels, epsilon, round_index) -> frozenset[int]:
         eps = as_fraction(epsilon)
         prices = [k * eps for k in levels]
-        return brute_force_demand(self.valuations[device], holdings, prices, eps, self.policy)
+        return brute_force_demand(self.valuations[device], holdings, prices, eps)

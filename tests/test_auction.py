@@ -27,7 +27,7 @@ SCRIPT_8X3 = {
 }
 
 
-def naive_demand(valuation, holdings, prices, eps, policy):
+def naive_demand(valuation, holdings, prices, eps):
     """Direct enumeration with explicit tie-breaking, written separately
     from the oracle's per-task rule."""
     free = [t for t in range(len(prices)) if t not in holdings]
@@ -37,8 +37,7 @@ def naive_demand(valuation, holdings, prices, eps, policy):
             score = sum(prices[j] for j in holdings)
             score += sum(prices[j] + eps for j in combo)
             score -= valuation.value(holdings | set(combo))
-            obj = -score if policy == "net-gain" else score
-            key = (obj, len(combo), combo)
+            key = (score, len(combo), combo)
             if best is None or key < best[0]:
                 best = (key, frozenset(combo))
     return best[1]
@@ -78,6 +77,14 @@ class TestValuations:
     def test_additive_rejects_negative(self):
         with pytest.raises(DomainError):
             AdditiveValuation({0: -1})
+        with pytest.raises(DomainError):
+            AdditiveValuation({0: Fraction(-1, 2)})
+
+    def test_additive_keeps_int_values(self):
+        v = AdditiveValuation({0: 3, 1: True, 2: 2.5, 3: Fraction(1, 3)})
+        assert [type(x) for x in v.per_task.values()] == [int, Fraction, Fraction, Fraction]
+        assert v.per_task == {0: 3, 1: 1, 2: Fraction(5, 2), 3: Fraction(1, 3)}
+        assert type(v.value([0])) is Fraction
 
     def test_table_monotone_closure(self):
         v = TableValuation({frozenset({0, 1}): 5, frozenset({2}): 2})
@@ -87,30 +94,23 @@ class TestValuations:
         assert v.value({2, 3}) == 2
 
 
-def demand_at(per_task, levels, policy):
+def demand_at(per_task, levels):
     """One query of a single-device oracle at epsilon 1, holding nothing."""
-    oracle = BruteForceOracle({0: AdditiveValuation(per_task)}, policy)
+    oracle = BruteForceOracle({0: AdditiveValuation(per_task)})
     return oracle.demand(0, frozenset(), list(levels), Fraction(1), 1)
 
 
 class TestBruteForceDemand:
-    def test_net_gain_prefers_empty_when_prices_low(self):
-        # Payment p + eps below value on every bundle: no positive gain,
-        # so the empty set wins.
-        assert demand_at({0: 5, 1: 5}, (0, 0), "net-gain") == frozenset()
-
-    def test_net_gain_takes_profitable_bundle(self):
-        assert demand_at({0: 1, 1: 5}, (8, 0), "net-gain") == frozenset({0})
-
     def test_paper_literal_takes_value_over_payment(self):
-        assert demand_at({0: 5, 1: 2}, (0, 0), "paper-literal") == frozenset({0, 1})
+        assert demand_at({0: 5, 1: 2}, (0, 0)) == frozenset({0, 1})
 
     def test_paper_literal_skips_overpriced(self):
-        assert demand_at({0: 5}, (9,), "paper-literal") == frozenset()
+        assert demand_at({0: 5}, (9,)) == frozenset()
 
     def test_ties_prefer_smaller_then_lexicographic(self):
-        # Both singletons and the empty set score 0 under net-gain.
-        assert demand_at({0: 1, 1: 1}, (0, 0), "net-gain") == frozenset()
+        # Task 0's value equals its price plus epsilon, so taking it scores
+        # the same as leaving it, and the smaller bundle wins.
+        assert demand_at({0: 1, 1: 2}, (0, 0)) == frozenset({1})
 
     def test_matches_naive_enumeration(self):
         rng = random.Random(13)
@@ -119,24 +119,26 @@ class TestBruteForceDemand:
             v = AdditiveValuation({t: rng.randint(0, 6) for t in range(m)})
             levels = [rng.randint(0, 5) for _ in range(m)]
             held = frozenset(t for t in range(m) if rng.random() < 0.3)
-            for policy in ("net-gain", "paper-literal"):
-                oracle = BruteForceOracle({0: v}, policy)
-                assert oracle.demand(0, held, levels, Fraction(1), 1) == naive_demand(
-                    v, held, tuple(map(Fraction, levels)), Fraction(1), policy
-                )
+            oracle = BruteForceOracle({0: v})
+            assert oracle.demand(0, held, levels, Fraction(1), 1) == naive_demand(
+                v, held, tuple(map(Fraction, levels)), Fraction(1)
+            )
 
     def test_oracle_rejects_unknown_policy_at_construction(self):
-        with pytest.raises(ConfigError, match="policy"):
-            BruteForceOracle({}, policy="x")
+        # Only the keyword's default is accepted; net-gain is gone.
+        BruteForceOracle({}, policy="paper-literal")
+        for policy in ("x", "net-gain"):
+            with pytest.raises(ConfigError, match="policy"):
+                BruteForceOracle({}, policy=policy)
 
     def test_oracle_rejects_non_additive_valuation_at_construction(self):
         with pytest.raises(ConfigError, match="device 0 .* not an AdditiveValuation"):
-            BruteForceOracle({0: object()}, "paper-literal")
+            BruteForceOracle({0: object()})
         with pytest.raises(ConfigError, match="TableValuation"):
-            BruteForceOracle({0: TableValuation({frozenset({0, 1}): 5})}, "net-gain")
+            BruteForceOracle({0: TableValuation({frozenset({0, 1}): 5})})
 
     def test_device_without_valuation_is_a_domain_error(self):
-        oracle = BruteForceOracle({0: AdditiveValuation({0: 5})}, "paper-literal")
+        oracle = BruteForceOracle({0: AdditiveValuation({0: 5})})
         with pytest.raises(DomainError, match="device 5"):
             wipd_run(1, [0, 5], oracle, 1)
 
@@ -180,7 +182,7 @@ class TestWipdRun:
                 d: AdditiveValuation({t: rng.randint(1, 8) for t in range(m)})
                 for d in devices
             }
-            oracle = BruteForceOracle(vals, policy="paper-literal")
+            oracle = BruteForceOracle(vals)
             out = wipd_run(m, devices, oracle, 1)
             holdings, prices, rounds = naive_dynamics(m, devices, oracle, Fraction(1))
             assert {d: set(b) for d, b in out.allocation.items()} == holdings
@@ -195,7 +197,7 @@ class TestWipdRun:
                 d: AdditiveValuation({t: rng.randint(1, 9) for t in range(m)})
                 for d in range(rng.randint(2, 4))
             }
-            out = wipd_run(m, list(vals), BruteForceOracle(vals, "paper-literal"), 1)
+            out = wipd_run(m, list(vals), BruteForceOracle(vals), 1)
             seen = set()
             for bundle in out.allocation.values():
                 assert not bundle & seen
@@ -207,16 +209,10 @@ class TestWipdRun:
             d: AdditiveValuation({t: rng.randint(30, 45) for t in range(200)})
             for d in range(5)
         }
-        out = wipd_run(200, list(vals), BruteForceOracle(vals, "paper-literal"), 1)
+        out = wipd_run(200, list(vals), BruteForceOracle(vals), 1)
         out.check()
         assert len(out.prices) == 200
         assert set().union(*out.allocation.values()) == set(range(200))
-
-    def test_net_gain_settles_empty_when_no_profit(self):
-        vals = {0: AdditiveValuation({0: 5}), 1: AdditiveValuation({0: 7})}
-        out = wipd_run(1, [0, 1], BruteForceOracle(vals, "net-gain"), 1)
-        assert all(not b for b in out.allocation.values())
-        assert out.rounds == 1
 
     def test_nonterminating_oracle_raises_after_max_rounds(self):
         class Grabby:
@@ -280,6 +276,24 @@ class TestGreedyBaseline:
         out = greedy_baseline(requests)
         assert set(out.allocation) == {1, 2}
         assert out.payments == {1: Fraction(4), 2: Fraction(5)}
+        assert out.prices == (4, 0, 0, 0, 5)
+
+    def test_outcome_passes_check(self):
+        # Prices used to be all zero, so a winner's bid broke the identity.
+        out = greedy_baseline({0: ({0}, 3)}, num_tasks=2)
+        out.check()
+        assert out.prices == (3, 0)
+
+    def test_price_is_the_bid_share(self):
+        out = greedy_baseline({0: ({0, 2}, 3), 1: ({1, 2}, 9)}, num_tasks=4)
+        out.check()
+        assert out.prices == (Fraction(3, 2), 0, Fraction(3, 2), 0)
+
+    def test_rejects_task_outside_range(self):
+        with pytest.raises(DomainError, match="device 0 .* outside 0..1"):
+            greedy_baseline({0: ({2}, 3)}, num_tasks=2)
+        with pytest.raises(DomainError, match="device 1 .* outside"):
+            greedy_baseline({0: ({0}, 3), 1: ({-1}, 3)})
 
     def test_tie_breaks_to_lowest_id(self):
         requests = {5: ({0}, 3), 2: ({0}, 3)}

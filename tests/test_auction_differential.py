@@ -2,13 +2,14 @@
 
 ``reference_auction.brute_force_demand`` scores every bundle of unheld
 tasks and is the reference.  ``BruteForceOracle`` answers task by task
-instead: paper-literal takes task j iff p_j + epsilon < v_j, net-gain iff
-p_j + epsilon > v_j, and a task with no listed value is worth 0.  It must
-return the enumerator's bundle on every query, and a whole ``wipd_run``
-driven by it must match one driven by ``EnumeratingOracle``: every
-recorded query and its answer, then allocation, prices, payments and
-rounds, or the same queries up to ``TerminationError`` when the auction
-does not settle.
+instead: it takes task j iff p_j + epsilon < v_j, and a task with no
+listed value is worth 0.  It must return the enumerator's bundle on every
+query, and a whole ``wipd_run`` driven by it must match one driven by
+``EnumeratingOracle``: every recorded query and its answer, then
+allocation, prices, payments and rounds.  Each auction that takes more
+than one pass is replayed once more with a ``max_rounds`` below its
+settling pass, and both oracles must then make the same queries up to
+``TerminationError``.
 
 Values are drawn on a grid of sixths, and every epsilon is a multiple of
 1/6, so a price plus epsilon often equals a value exactly: the tie that
@@ -27,10 +28,7 @@ from crowdtier import AdditiveValuation, BruteForceOracle, TerminationError, wip
 from helpers import RecordingOracle
 from reference_auction import EnumeratingOracle, brute_force_demand
 
-POLICIES = ("paper-literal", "net-gain")
 EPSILONS = (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2))
-# A small cap keeps non-settling net-gain auctions cheap to replay.
-MAX_ROUNDS = 40
 
 
 def sixths(rng: random.Random, hi: int) -> Fraction:
@@ -42,12 +40,11 @@ def random_valuation(rng: random.Random, m: int, hi: int) -> AdditiveValuation:
     return AdditiveValuation({t: sixths(rng, hi) for t in range(m) if rng.random() < 0.8})
 
 
-@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("eps", EPSILONS, ids=str)
-def test_oracle_query_on_price_levels_matches_enumeration(policy, eps):
+def test_oracle_query_on_price_levels_matches_enumeration(eps):
     # The oracle sees integer levels; task j's price is levels[j] * eps.
-    rng = random.Random(f"levels:{policy}:{eps}")
-    for _ in range(60):
+    rng = random.Random(f"levels:{eps}")
+    for _ in range(120):
         m = rng.randint(0, 10)
         levels = [rng.randint(0, 8) for _ in range(m)]
         # A quarter of the values sit exactly at the next level's price.
@@ -57,32 +54,48 @@ def test_oracle_query_on_price_levels_matches_enumeration(policy, eps):
         })
         holdings = frozenset(t for t in range(m) if rng.random() < 0.3)
         prices = tuple(k * eps for k in levels)
-        expected = brute_force_demand(valuation, holdings, prices, eps, policy)
-        oracle = BruteForceOracle({0: valuation}, policy)
+        expected = brute_force_demand(valuation, holdings, prices, eps)
+        oracle = BruteForceOracle({0: valuation})
         assert oracle.demand(0, holdings, levels, eps, 1) == expected
 
 
-def outcome_of(m, valuations, oracle, eps):
+def outcome_of(m, valuations, oracle, eps, max_rounds=None):
     recorder = RecordingOracle(oracle)
     try:
-        out = wipd_run(m, sorted(valuations), recorder, eps, max_rounds=MAX_ROUNDS)
+        out = wipd_run(m, sorted(valuations), recorder, eps, max_rounds=max_rounds)
     except TerminationError:
         return "unsettled", recorder.log
     return "settled", recorder.log, out.allocation, out.prices, out.payments, out.rounds
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_whole_auction_matches_enumeration(policy):
-    rng = random.Random(f"auction:{policy}")
-    kinds = set()
-    for _ in range(60):
+def random_auctions():
+    """120 (task count, valuations, epsilon) instances of up to 6 tasks."""
+    rng = random.Random("auction")
+    for _ in range(120):
         m = rng.randint(1, 6)
         eps = rng.choice(EPSILONS)
-        valuations = {d: random_valuation(rng, m, 6) for d in range(rng.randint(1, 4))}
-        additive = outcome_of(m, valuations, BruteForceOracle(valuations, policy), eps)
-        enumerated = outcome_of(m, valuations, EnumeratingOracle(valuations, policy), eps)
-        assert additive == enumerated
-        kinds.add(additive[0])
-    # Net-gain pays devices to take tasks, so some of its auctions never
-    # settle; both paths must then make the same queries.
-    assert kinds == ({"settled", "unsettled"} if policy == "net-gain" else {"settled"})
+        yield m, {d: random_valuation(rng, m, 6) for d in range(rng.randint(1, 4))}, eps
+
+
+def test_whole_auction_matches_enumeration():
+    for m, valuations, eps in random_auctions():
+        # Unbounded, the package oracle runs under its own round hint.
+        additive = outcome_of(m, valuations, BruteForceOracle(valuations), eps)
+        assert additive[0] == "settled"
+        assert additive == outcome_of(m, valuations, EnumeratingOracle(valuations), eps)
+
+
+def test_auction_cut_short_matches_enumeration():
+    # With max_rounds below the settling pass, both oracles must make the
+    # same queries up to TerminationError.
+    caps = random.Random("cap")
+    truncated = 0
+    for m, valuations, eps in random_auctions():
+        rounds = wipd_run(m, sorted(valuations), BruteForceOracle(valuations), eps).rounds
+        if rounds > 1:
+            cap = caps.randint(1, rounds - 1)
+            additive = outcome_of(m, valuations, BruteForceOracle(valuations), eps, cap)
+            assert additive[0] == "unsettled"
+            assert additive == outcome_of(m, valuations, EnumeratingOracle(valuations), eps, cap)
+            truncated += 1
+    assert truncated >= 100

@@ -145,9 +145,11 @@ CASES = [
     "experiment --mechanism tenm --n 10 --rounds 1 --budget 1e4300",
     # Instances the mechanisms cannot run.
     "ectai --devices 5 --f 3 --g 3",
-    # Flags these subcommands do not have.
+    # Flags these subcommands do not have, or no longer have.
     "graph-info --graph {graph} --seed 3",
     "estimate --degree 4 --seed 1",
+    "wipd --num-tasks 5 --bidders 3 --val-range 3:9 --policy net-gain --seed 3",
+    "wipd --num-tasks 5 --bidders 3 --val-range 3:9 --policy net-gain --seed 3 --format csv",
 ]
 
 

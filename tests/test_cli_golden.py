@@ -69,8 +69,6 @@ GOLDEN = {
         "654866a11b44bad4b373c7048d12ab2442c93b03af952820bae505b88c2b2af2",
     "wipd --num-tasks 1000 --bidders 100 --seed 1":
         "1a330d136f12e709e53bee694ba31f953ef287ee1a43a39d1d08d27ad8b1541b",
-    "wipd --num-tasks 5 --bidders 3 --val-range 3:9 --policy net-gain --seed 3":
-        "87011f20e011281485b80aac4e3a93307d10a4786ee2c52881b9a45dc7d06d78",
     "greedy --seed 3":
         "3d8e80593a467a3f74d3e50a5a91a3a2a82116ebd05a6363ac9a3142384dd991",
     "estimate --degree 6 --p 0.3 --estimator expected":
@@ -231,8 +229,6 @@ GOLDEN = {
         "76a9d4e97b9502d8041dac6c5515386a98573978ba6507846596d50d1227981c",
     "greedy --num-tasks 4 --bidders 3 --val-range 3:9 --seed 17 --format csv":
         "1c273249623028b760d83bddfd47915cee8bc0392bd021709a6398ff224934b2",
-    "wipd --num-tasks 5 --bidders 3 --val-range 3:9 --policy net-gain --seed 3 --format csv":
-        "36d3126cccec3397b29eb7e183b0705a95761ad3e00f240390bead1ddf427bfd",
     "greedy --seed 3 --format csv":
         "234f738891d6b9f3f6f2e6cece478a4c5f3f5a15bc6177057496f5ad5e401431",
     "estimate --degree 6 --p 0.3 --estimator expected --format csv":

@@ -63,6 +63,19 @@ class TestRunExperiment:
         for r in report.rounds:
             assert r.metrics["rounds_to_settle"] >= 1
 
+    def test_wipd_seller_scoring_gives_winners_negative_utility(self):
+        # The harness scores a wipd winner as payment - value, a seller's
+        # utility, while the auction charges buyers below their values; so
+        # every truthful round with a winner reports a negative total.
+        winning_rounds = 0
+        for seed in range(5):
+            config = ExperimentConfig(mechanism="wipd", seed=seed, rounds=3)
+            for r in run_experiment(config).rounds:
+                if any(r.metrics["allocation"].values()):
+                    assert r.metrics["total_utility"] < 0
+                    winning_rounds += 1
+        assert winning_rounds == 15
+
     def test_greedy_reports_winners(self):
         config = ExperimentConfig(mechanism="greedy", seed=4, rounds=3)
         report = run_experiment(config)

@@ -11,10 +11,12 @@ pays each of its k winners at least its cost and at most B / k
 allocates disjointly, charges each device the final prices of its
 bundle, settles within its round hint, and is epsilon-efficient
 (Demange, Gale and Sotomayor 1986); the hint's total value is the exact
-``Fraction`` sum.  The pay-as-bid greedy baseline
-allocates disjointly, pays each winner its bid, and rejects a request
-only for overlapping one accepted before it in ascending bid / sqrt(size)
-order.
+``Fraction`` sum.  Each winner pays strictly less than its value for its
+bundle, and the outcome is the same whether values arrive as ints,
+Fractions or integral floats.  The pay-as-bid greedy baseline
+allocates disjointly, pays each winner its bid, prices each sold task at
+its share of that bid, and rejects a request only for overlapping one
+accepted before it in ascending bid / sqrt(size) order.
 
 Tier-1 outputs do not depend on whether a cost arrives as an int, a
 Fraction or an integral float, and a bad cost raises the same error
@@ -220,6 +222,34 @@ def test_wipd_paper_literal_invariants(instance):
 
 
 @PROPERTIES
+@given(additive_auctions())
+def test_wipd_winner_pays_below_its_value(instance):
+    # Buyer-side individual rationality: a device holds a task only while
+    # its price stays below the device's value for it.
+    m, rows, eps = instance
+    vals = {d: AdditiveValuation(dict(enumerate(row))) for d, row in rows.items()}
+    outcome = wipd_run(m, list(vals), BruteForceOracle(vals), eps)
+    for d, bundle in outcome.allocation.items():
+        if bundle:
+            assert outcome.payments[d] < vals[d].value(bundle)
+
+
+@PROPERTIES
+@given(additive_auctions())
+def test_wipd_outcome_does_not_depend_on_value_type(instance):
+    m, rows, eps = instance
+    outcomes = []
+    for kind in (int, Fraction, float):
+        vals = {d: AdditiveValuation({j: kind(v) for j, v in enumerate(row)})
+                for d, row in rows.items()}
+        outcomes.append(wipd_run(m, list(vals), BruteForceOracle(vals), eps))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    for outcome in outcomes:
+        assert all(type(p) is Fraction for p in outcome.prices)
+        assert all(type(p) is Fraction for p in outcome.payments.values())
+
+
+@PROPERTIES
 @given(st.lists(st.one_of(
     st.integers(0, 10**6),
     st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**4)),
@@ -257,6 +287,7 @@ def _bid_per_root_size(requests, a, b):
 @given(bundle_requests())
 def test_greedy_baseline_invariants(requests):
     outcome = greedy_baseline(requests)
+    outcome.check()
     assert set(outcome.payments) == set(outcome.allocation)
     order = sorted(requests, key=functools.cmp_to_key(
         functools.partial(_bid_per_root_size, requests)))
