@@ -91,12 +91,15 @@ def _load_costs_csv(path: str) -> dict[int, Fraction]:
                 continue
             try:
                 node, cost = line.split(",")
-                costs[int(node)] = as_fraction(cost)
+                node, cost = int(node), as_fraction(cost)
             except (ValueError, DomainError):
                 raise ConfigError(
                     f"{path} line {lineno}: expected node_id,cost with an integer id "
                     f"and a finite cost: {line!r}"
                 ) from None
+            if node in costs:
+                raise ConfigError(f"{path} line {lineno}: node {node} is listed twice: {line!r}")
+            costs[node] = cost
     return costs
 
 

@@ -18,9 +18,9 @@ marginal only shrinks as the covered set grows, so a heap top whose
 marginal is unchanged is the true argmax, and a stale top is re-keyed in
 place.  Every key is unique, so the resulting order is the argmax
 sequence with ties to the lowest id, whatever the heap's layout;
-:func:`npm_prices` relies on that to share one forward pass among all
-of its payment reruns.  Each greedy pass, forward or rerun, is one
-generator that also applies the admission rule.
+:func:`npm_prices` and :func:`tenm_run` rely on that to share one
+forward pass among all of their payment reruns.  Each greedy pass,
+forward or rerun, is one generator that also applies the admission rule.
 
 The baselines share that scale and its validator.  NTBFM's static order
 is the sorted initial heap keys, and its budget scan keeps one integer
@@ -45,7 +45,7 @@ from functools import partial
 from typing import Iterable, Mapping
 
 from .errors import ConfigError, DomainError, InvariantError
-from .graph import SocialGraph
+from .graph import SocialGraph, _bits
 
 Numeric = int | float | Fraction
 
@@ -64,6 +64,8 @@ def as_fraction(x: Numeric) -> Fraction:
     unless that is 0): such a number could not be printed, and
     ``1e999999999`` would build a billion-digit power of ten.
     """
+    if type(x) is Fraction:  # immutable, so it needs no copy
+        return x
     try:
         if isinstance(x, float):
             return Fraction(str(x))
@@ -124,11 +126,12 @@ class NotifierOutcome:
 
 def notifier_utility(true_cost: Numeric, payment: Numeric, selected: bool) -> Fraction:
     """Quasilinear notifier utility: payment minus true cost when selected."""
-    if as_fraction(payment) < 0:
+    payment = as_fraction(payment)
+    if payment < 0:
         raise DomainError("payment must be non-negative")
     if not selected:
         return Fraction(0)
-    return as_fraction(payment) - as_fraction(true_cost)
+    return payment - as_fraction(true_cost)
 
 
 def _cost_map(ids: Iterable, costs: Mapping[int, Numeric]) -> list[int | Fraction]:
@@ -172,37 +175,66 @@ def _greedy_heap(masks: tuple[int, ...], scaled: list[int]):
     return weights, (1 << shift) - 1, heap
 
 
-def _greedy_pass(masks, weights, ids, scaled, scale, share, heap, covered=0, value=0):
+def _admission(share: Fraction, scaled: list[int], scale: int):
+    """The test ``c_i <= share * m / (h + m)`` of ``(i, m, h)``, as
+    ``C_i * (h + m) * den <= num * D * m``; a zero marginal fails."""
+    num, den = share.numerator * scale, share.denominator
+    return lambda i, m, h: m and scaled[i] * (h + m) * den <= num * m
+
+
+def _greedy_pass(masks, weights, ids, admits, heap, covered=0, value=0):
     """Lazy (CELF) marginal-per-cost greedy over the nodes in ``heap``, up to
-    and including the first position the admission rule
-    ``c_i <= share * m / (h + m)`` rejects.
+    and including the first position that ``admits`` (see
+    :func:`_admission`) rejects.
 
     Yields one position ``(node, marginal, covered, value)`` per node, where
     ``covered`` is the mask notified by the nodes before it and ``value``
-    its size; an admitted node is then added to the covered set.  A zero
-    marginal is never admitted, and once the heap is empty a terminal
-    position ``(None, 0, covered, value)`` is the last.  With
-    ``c_i = C_i / D`` the rule is ``C_i * (h + m) * den <= num * D * m``.
-    ``heap`` is consumed in place: between two positions it holds every
-    node not yet yielded, keyed (see :func:`_greedy_heap`) by an upper
-    bound of its ratio.  A stale top is re-keyed in place with one
-    ``heapreplace``; only a top whose key is current is popped.
+    its size; an admitted node is then added to the covered set.  Once the
+    heap is empty a terminal position ``(None, 0, covered, value)`` is the
+    last.  ``heap`` is consumed in place: between two positions it holds
+    every node not yet yielded, keyed (see :func:`_greedy_heap`) by an
+    upper bound of its ratio.  A stale top is re-keyed in place with one
+    ``heapreplace``; only a top whose key is current is popped.  The
+    uncovered set is kept as a non-negative mask, the cheaper operand.
     """
-    num, den = share.numerator * scale, share.denominator
-    free = ~covered
+    pop, replace = heapq.heappop, heapq.heapreplace
+    free = ((1 << len(masks)) - 1) & ~covered
     while heap:
-        i = heap[0] & ids
+        top = heap[0]
+        i = top & ids
         m = (masks[i] & free).bit_count()
-        if (key := i - m * weights[i]) != heap[0]:
-            heapq.heapreplace(heap, key)
+        if (key := i - m * weights[i]) != top:
+            replace(heap, key)
             continue
-        heapq.heappop(heap)
-        yield i, m, ~free, value
-        if not (m and scaled[i] * (value + m) * den <= num * m):
+        pop(heap)
+        yield i, m, covered, value
+        if not admits(i, m, value):
             return
+        covered |= masks[i]
         free &= ~masks[i]
         value += m
-    yield None, 0, ~free, value
+    yield None, 0, covered, value
+
+
+def _forward_pass(masks, scaled: list[int], scale: int, budget: Fraction, positions: list):
+    """The greedy pass under the undamped rule ``c_i <= B * m / (h + m)``.
+
+    Removing winner j leaves every coverage value unchanged, so j's rerun
+    is this pass up to j, then the greedy from a copy of the lazy heap and
+    covered mask just after j is popped; a winner the pass never reaches
+    reruns the whole pass.  Yields each position with ``pay``, which
+    returns its node's threshold payment until the next position is drawn.
+    ``positions`` collects the positions yielded so far.
+    """
+    weights, ids, heap = _greedy_heap(masks, scaled)
+    greedy = partial(_greedy_pass, masks, weights, ids, _admission(budget, scaled, scale))
+    for position in greedy(heap):
+        j, _, covered, value = position
+        def pay():
+            rerun = itertools.chain(positions, greedy(heap[:], covered, value))
+            return _threshold(masks, masks[j], rerun, scaled, scale, budget)
+        yield position, pay
+        positions.append(position)
 
 
 def _threshold(
@@ -265,9 +297,9 @@ def nam_select(
 
     scaled, scale = _scaled_costs(range(graph.n), costs)
     weights, ids, heap = _greedy_heap(graph.masks, scaled)
-    positions = _greedy_pass(graph.masks, weights, ids, scaled, scale, budget / delta, heap)
-    selected = [i for i, _, _, _ in positions][:-1]
-    return selected, graph.covered(selected)
+    admits = _admission(budget / delta, scaled, scale)
+    *admitted, (_, _, covered, _) = _greedy_pass(graph.masks, weights, ids, admits, heap)
+    return [i for i, _, _, _ in admitted], frozenset(_bits(covered))
 
 
 def npm_prices(
@@ -286,18 +318,10 @@ def npm_prices(
     cost j could have revealed to take position k and rho_jk the budget
     share at that position.  The payment is the maximum candidate.
 
-    The reruns share one forward pass.  The greedy order is the argmax
-    sequence with ties to the lowest id, so it does not depend on how the
-    lazy heap got there.  Removing j only removes j from the candidates;
-    every coverage value is unchanged, so the rerun for j takes the same
-    argmax as the full graph at every position before j's own position
-    p_j.  Hence the rerun is the full-graph order up to p_j, cut at the
-    first position R < p_j that the undamped rule rejects when there is
-    one; otherwise it resumes from a copy of the forward pass's lazy heap
-    and covered mask taken just after j is popped.  Costs are scaled to
-    integers once per call (see :func:`_greedy_heap`), and every
-    comparison is an integer cross-multiplication; each payment becomes
-    a ``Fraction`` only at the end.
+    The reruns share one forward pass (see :func:`_forward_pass`).  Costs
+    are scaled to integers once per call (see :func:`_greedy_heap`), and
+    every comparison is an integer cross-multiplication; each payment
+    becomes a ``Fraction`` only at the end.
 
     Raises DomainError on an unknown, non-integer or repeated node id.
     """
@@ -310,21 +334,16 @@ def npm_prices(
         raise DomainError(f"selected list repeats a node id: {selected!r}")
 
     masks = graph.masks
-    weights, ids, heap = _greedy_heap(masks, scaled)
     payments: dict[int, Fraction] = {}
     # Positions of the forward pass: the undamped rule's admitted prefix,
     # then its first rejected position.
     positions: list[tuple] = []
-    greedy = partial(_greedy_pass, masks, weights, ids, scaled, scale, budget)
-    for position in greedy(heap):
+    for (j, _, _, _), pay in _forward_pass(masks, scaled, scale, budget, positions):
         if not pending:
             break
-        j, _, covered, value = position
         if j in pending:
             pending.remove(j)
-            rerun = itertools.chain(positions, greedy(heap[:], covered, value))
-            payments[j] = _threshold(masks, masks[j], rerun, scaled, scale, budget)
-        positions.append(position)
+            payments[j] = pay()
     # Winners after the forward pass's first rejection share its reruns.
     for j in pending:
         payments[j] = _threshold(masks, masks[j], positions, scaled, scale, budget)
@@ -341,18 +360,24 @@ def tenm_run(
 
     Requires delta >= 1: a winner is paid at least its cost only when the
     damped selection share B / delta is at most the payment rule's B.
+
+    Both passes take one argmax sequence and the damped rule is the
+    stricter, so one walk of the undamped forward pass selects and pays,
+    up to the first position that the damped rule rejects.
     """
-    if as_fraction(delta) < 1:
-        raise ConfigError(f"delta must be at least 1 for tenm, got {as_fraction(delta)}")
-    selected, notified = nam_select(graph, costs, budget, delta)
-    payments = npm_prices(graph, costs, budget, selected)
-    outcome = NotifierOutcome(
-        mechanism="tenm",
-        selected=selected,
-        notified=notified,
-        payments=payments,
-        budget=as_fraction(budget),
-    )
+    delta = as_fraction(delta)
+    if delta < 1:
+        raise ConfigError(f"delta must be at least 1 for tenm, got {delta}")
+    budget = positive_budget(budget)
+    scaled, scale = _scaled_costs(range(graph.n), costs)
+    admits = _admission(budget / delta, scaled, scale)
+    payments: dict[int, Fraction] = {}
+    # The undamped pass's last position fails the damped rule too.
+    for (i, m, covered, value), pay in _forward_pass(graph.masks, scaled, scale, budget, []):
+        if not admits(i, m, value):
+            break
+        payments[i] = pay()
+    outcome = NotifierOutcome("tenm", list(payments), frozenset(_bits(covered)), payments, budget)
     outcome.check(costs)
     return outcome
 

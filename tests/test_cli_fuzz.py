@@ -30,6 +30,8 @@ FILES = {
     "costs_nan.csv": b"node_id,cost\n1,nan\n",
     "costs_zero.csv": b"1,0\n2,4\n3,2\n4,5\n5,3\n6,2\n",
     "costs_missing_node.csv": b"node_id,cost\n1,2\n",
+    # ex6's costs with node 1 listed again at the end.
+    "costs_repeat.csv": b"node_id,cost\n1,3\n2,4\n3,2\n4,5\n5,3\n6,2\n1,100\n",
     "vals_json.json": b"{bad",
     "vals_list.json": b"[1, 2]",
     "vals_task_range.json": b'{"0": {"7": 3}}',
@@ -59,6 +61,7 @@ CASES = [
     TIER1 + " --costs costs_text.csv",
     TIER1 + " --costs costs_nan.csv",
     TIER1 + " --costs costs_zero.csv",
+    TIER1 + " --costs costs_repeat.csv",
     "psm --graph {graph} --budget 12 --costs costs_missing_node.csv",
     "wipd --valuations vals_json.json",
     "wipd --valuations vals_list.json",

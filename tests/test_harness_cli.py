@@ -274,11 +274,18 @@ class TestCli:
         assert code == 0
         assert json.loads(out.read_text())["selected"] == [1, 6]
 
-    @pytest.mark.parametrize("row", ["2", "1,x", "1,nan", "x,1"])
+    @pytest.mark.parametrize("row", ["2", "1,x", "1,nan", "x,1", "1,100"])
     def test_bad_costs_row_is_line_numbered_config_error(self, tmp_path, row):
         path = tmp_path / "costs.csv"
         path.write_text(f"node_id,cost\n1,2\n{row}\n")
         with pytest.raises(ConfigError, match="line 3"):
+            _load_costs_csv(str(path))
+
+    def test_repeated_costs_row_names_the_node(self, tmp_path):
+        # Ids compare as integers, so "01" repeats node 1.
+        path = tmp_path / "costs.csv"
+        path.write_text("node_id,cost\n1,2\n01,100\n")
+        with pytest.raises(ConfigError, match="line 3: node 1 is listed twice: '01,100'"):
             _load_costs_csv(str(path))
 
     def test_nan_costs_row_prints_one_error_line(self, capsys, tmp_path, ex6_paths):

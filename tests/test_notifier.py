@@ -309,6 +309,10 @@ class TestAsFraction:
     def test_float_reads_as_decimal_literal(self):
         assert as_fraction(0.1) == Fraction(1, 10)
 
+    def test_fraction_is_returned_as_is(self):
+        f = Fraction(3, 7)
+        assert as_fraction(f) is f
+
     @pytest.mark.parametrize("text", [
         "1e5000", "1e-5000", "-1E+4301", "1e4000000", "1" * 3000 + "." + "1" * 3000,
     ])

@@ -1,7 +1,10 @@
 """Differential tests: the integer-keyed, prefix-shared tier-1 code must
 reproduce the Fraction-keyed reference (``reference_notifier``) exactly:
-the selected order, the notified set, every payment and its type."""
+the selected order, the notified set, every payment and its type.
+``tenm_run``, which selects and pays in one forward pass, must match the
+reference's separate selection and payment runs."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -9,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 import reference_notifier as ref
-from crowdtier import build_graph, nam_select, npm_prices
+from crowdtier import build_graph, nam_select, notifier, npm_prices, tenm_run
+from crowdtier.notifier import as_fraction
 
 
 def assert_same(graph, costs, budget, delta=2, subsets=()):
@@ -22,6 +26,15 @@ def assert_same(graph, costs, budget, delta=2, subsets=()):
         want_pay = ref.npm_prices(graph, costs, budget, selected)
         assert list(got_pay.items()) == list(want_pay.items())
         assert all(isinstance(p, Fraction) for p in got_pay.values())
+    if delta >= 1:
+        outcome = tenm_run(graph, costs, budget, delta)
+        want_pay = ref.npm_prices(graph, costs, budget, want[0])
+        assert outcome.selected == want[0]
+        assert outcome.notified == want[1]
+        assert list(outcome.payments.items()) == list(want_pay.items())
+        assert all(type(p) is Fraction for p in outcome.payments.values())
+        assert outcome.budget == as_fraction(budget)
+        assert type(outcome.budget) is Fraction
     return got[0]
 
 
@@ -53,7 +66,7 @@ def test_random_small_graphs(cost_kind, budget_kind):
         costs = {i: COSTS[cost_kind](rng) for i in range(n)}
         budget = BUDGETS[budget_kind](rng)
         # delta < 1 admits winners beyond the undamped rule's first loser.
-        delta = rng.choice((2, 2, 1, Fraction(1, 2), 3))
+        delta = rng.choice((2, 2, 1, Fraction(1, 2), 3, Fraction(3, 2)))
         selected, _ = nam_select(graph, costs, budget, delta)
         losers = [i for i in range(n) if i not in selected]
         subsets = [
@@ -131,3 +144,29 @@ def test_dense_n300_graph():
     costs = {i: rng.randint(20, 50) for i in range(300)}
     selected = assert_same(graph, costs, 15000, subsets=[rng.sample(range(300), 30)])
     assert len(selected) >= 5
+
+
+def test_tenm_run_walks_one_forward_pass(monkeypatch):
+    # tenm_run selects and pays along one greedy pass over all n nodes;
+    # every other pass is one winner's rerun, which starts from a heap
+    # that winner has left.
+    real = notifier._greedy_pass
+    heaps = []
+
+    def counting(*args, **kwargs):
+        heaps.append(len(inspect.signature(real).bind(*args, **kwargs).arguments["heap"]))
+        return real(*args, **kwargs)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("tenm_run ran a separate selection or payment pass")
+
+    monkeypatch.setattr(notifier, "_greedy_pass", counting)
+    monkeypatch.setattr(notifier, "nam_select", unused)
+    monkeypatch.setattr(notifier, "npm_prices", unused)
+    rng = random.Random("one-pass")
+    graph = random_graph(rng, 200, 0.2)
+    costs = {i: rng.randint(20, 50) for i in range(200)}
+    outcome = tenm_run(graph, costs, 10000)
+    assert len(outcome.selected) >= 5
+    assert heaps.count(graph.n) == 1
+    assert len(heaps) <= 1 + len(outcome.selected)
