@@ -11,7 +11,6 @@ from .auction import (
     AuctionOutcome,
     BruteForceOracle,
     greedy_baseline,
-    gs_check,
     wipd_run,
 )
 from .errors import (
@@ -89,7 +88,6 @@ __all__ = [
     "ectai_run",
     "expected_notified",
     "greedy_baseline",
-    "gs_check",
     "lemma1_bound",
     "load_edge_list",
     "mean_of",

@@ -1,12 +1,10 @@
 """Tier-2 task auction: ascending epsilon-increment price dynamics with
-pluggable demand oracles, a gross-substitutes validator, and the
-pay-as-bid GREEDY baseline.
+pluggable demand oracles, and the pay-as-bid GREEDY baseline.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,13 +29,6 @@ class AdditiveValuation:
     def value(self, bundle: Iterable[int]) -> Fraction:
         return sum((self.per_task.get(t, Fraction(0)) for t in bundle), Fraction(0))
 
-    def max_value(self) -> Fraction:
-        """The sum of all values, added as integers over their common
-        denominator."""
-        values = self.per_task.values()
-        scale = math.lcm(*(v.denominator for v in values))
-        return Fraction(sum(v.numerator * (scale // v.denominator) for v in values), scale)
-
     def scaled(self, factor: Numeric) -> "AdditiveValuation":
         f = as_fraction(factor)
         return AdditiveValuation({t: v * f for t, v in self.per_task.items()})
@@ -55,11 +46,17 @@ class BruteForceOracle:
     worth 0.  Under an additive valuation that is the bundle an
     exhaustive search over all bundles of unheld tasks picks when ties
     break to the smallest bundle, since a tie only adds size.  The rule
-    is an integer cut computed once per (device, epsilon): take j iff
-    levels[j] < ceil(v_j / epsilon) - 1.
+    is an integer cut computed once per (device, epsilon): device i takes
+    j iff levels[j] < cut_ij = ceil(v_ij / epsilon) - 1.
 
     ``policy`` names that rule and accepts only ``"paper-literal"``; the
     keyword stays because the benchmark passes it.
+
+    ``max_rounds_hint(num_tasks, epsilon)`` is the pass limit ``wipd_run``
+    uses when given none: 1 + sum_j max(0, max_i cut_ij).  A grant raises
+    task j's level only while it is below some device's cut, levels never
+    fall, and every pass before the settling one grants a task, so the
+    auction settles within that many passes.
     """
 
     def __init__(self, valuations: Mapping[int, AdditiveValuation], policy: str = "paper-literal"):
@@ -82,21 +79,23 @@ class BruteForceOracle:
         return [(v.numerator * eps.denominator - 1) // (v.denominator * eps.numerator)
                 for v in values]
 
+    def _cuts_at(self, epsilon, m: int) -> dict[int, list[int]]:
+        if self._cuts_for != (epsilon, m):
+            eps = as_fraction(epsilon)
+            self._cuts_for = (epsilon, m)
+            self._cuts = {d: self._additive_cuts(v, eps, m) for d, v in self.valuations.items()}
+        return self._cuts
+
     def demand(self, device, holdings, levels, epsilon, round_index) -> frozenset[int]:
-        if self._cuts_for != (epsilon, len(levels)):
-            self._cuts_for, self._cuts = (epsilon, len(levels)), {}
-        if device not in self._cuts:
-            if device not in self.valuations:
-                raise DomainError(f"no valuation for device {device}")
-            self._cuts[device] = self._additive_cuts(
-                self.valuations[device], as_fraction(epsilon), len(levels)
-            )
-        hits = map(operator.lt, levels, self._cuts[device])
+        cuts = self._cuts_at(epsilon, len(levels)).get(device)
+        if cuts is None:
+            raise DomainError(f"no valuation for device {device}")
+        hits = map(operator.lt, levels, cuts)
         return frozenset(itertools.compress(itertools.count(), hits)) - holdings
 
     def max_rounds_hint(self, num_tasks: int, epsilon: Fraction) -> int:
-        top = max((v.max_value() for v in self.valuations.values()), default=Fraction(0))
-        return math.ceil(top * num_tasks / epsilon) + num_tasks
+        columns = zip(*self._cuts_at(epsilon, num_tasks).values())
+        return 1 + sum(max(0, *column) for column in columns)
 
 
 # --- ascending auction ----------------------------------------------------
@@ -134,6 +133,9 @@ def wipd_run(
     granted (stripping F from every other holder) and each task in F
     rises in price by epsilon.  The auction ends on the first full pass
     with no demand; exceeding ``max_rounds`` raises TerminationError.
+    When ``max_rounds`` is None the limit is the oracle's
+    ``max_rounds_hint(num_tasks, epsilon)``, so an oracle without that
+    method must be given ``max_rounds``.
 
     Prices are levels[j] * epsilon: the oracle is asked ``demand(device,
     holdings, levels, epsilon, round_index)`` with the live list of
@@ -142,11 +144,10 @@ def wipd_run(
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise ConfigError("epsilon must be positive")
+    if num_tasks < 0:
+        raise ConfigError(f"num_tasks must be non-negative, got {num_tasks}")
     if max_rounds is None:
-        if hasattr(oracle, "max_rounds_hint"):
-            max_rounds = oracle.max_rounds_hint(num_tasks, eps)
-        else:
-            max_rounds = 10_000
+        max_rounds = oracle.max_rounds_hint(num_tasks, eps)
     if max_rounds < 1:
         raise ConfigError("max_rounds must be at least 1")
 
@@ -185,57 +186,6 @@ def wipd_run(
             return outcome
 
     raise TerminationError(f"auction did not settle within {max_rounds} passes")
-
-
-# --- gross substitutes ----------------------------------------------------
-
-def _demand_sets(valuation, price: tuple[int, ...], m: int) -> list[frozenset[int]]:
-    """Full demand correspondence at a price vector: all bundles
-    minimizing price(S) - v(S)."""
-    best = None
-    sets: list[frozenset[int]] = []
-    for r in range(m + 1):
-        for combo in itertools.combinations(range(m), r):
-            score = sum(price[j] for j in combo) - valuation.value(combo)
-            if best is None or score < best:
-                best = score
-                sets = [frozenset(combo)]
-            elif score == best:
-                sets.append(frozenset(combo))
-    return sets
-
-
-def gs_check(valuation, num_tasks: int, grid_max: int = 6):
-    """Exhaustive gross-substitutes test on an integer price grid.
-
-    For every grid price vector p, every grid vector r >= p, and every
-    bundle S demanded at p, some demanded bundle at r must retain all of
-    S's tasks whose prices did not rise.  Returns (True, None) or
-    (False, witness) with the first violating (p, r, S).
-    """
-    if num_tasks > 6:
-        raise ConfigError("gs_check enumerates price grids; capped at 6 tasks")
-    m = num_tasks
-    demand_cache: dict[tuple[int, ...], list[frozenset[int]]] = {}
-
-    def demands(price: tuple[int, ...]) -> list[frozenset[int]]:
-        if price not in demand_cache:
-            demand_cache[price] = _demand_sets(valuation, price, m)
-        return demand_cache[price]
-
-    for p in itertools.product(range(grid_max + 1), repeat=m):
-        demand_p = demands(p)
-        for r in itertools.product(*(range(pj, grid_max + 1) for pj in p)):
-            if r == p:
-                continue
-            kept_sets = demands(r)
-            unchanged = frozenset(j for j in range(m) if r[j] == p[j])
-            for s in demand_p:
-                keep = s & unchanged
-                if not any(keep <= d for d in kept_sets):
-                    witness = {"prices": p, "raised": r, "demanded": sorted(s)}
-                    return False, witness
-    return True, None
 
 
 # --- greedy baseline ------------------------------------------------------

@@ -28,6 +28,8 @@ class SocialGraph:
     id_map: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        if len(self.masks) != self.n:
+            raise DomainError(f"n is {self.n}, but {len(self.masks)} node masks were given")
         for i, m in enumerate(self.masks):
             if m >> self.n:
                 raise DomainError(f"mask of node {i} references nodes >= n")

@@ -19,7 +19,6 @@ from crowdtier import (
     at_least_one,
     build_graph,
     expected_notified,
-    gs_check,
     load_edge_list,
     median_of,
     monte_carlo_notified,
@@ -41,6 +40,7 @@ from helpers import (
     find_greedy_witness,
     find_ntbfm_witness,
 )
+from reference_auction import gs_check
 from tests.test_auction import SCRIPT_8X3
 from tests.test_quality import EXAMPLE_REPORTS, EXAMPLE_SCRIPTS
 

@@ -11,12 +11,11 @@ from crowdtier import (
     DomainError,
     TerminationError,
     greedy_baseline,
-    gs_check,
     notifier_utility,
     wipd_run,
 )
 from helpers import RecordingOracle, ScriptedOracle
-from reference_auction import TableValuation
+from reference_auction import EnumeratingOracle, TableValuation, gs_check
 
 # Four-pass script on eight tasks and three devices reaching the
 # partition {1: t0-t2, 2: t3,t5,t7, 3: t4,t6}.
@@ -228,6 +227,35 @@ class TestWipdRun:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ConfigError):
             wipd_run(1, [0], ScriptedOracle({}), 0)
+
+    def test_zero_tasks_settle_in_one_pass(self):
+        # The old hint was 0 passes here, which max_rounds refused.
+        oracle = BruteForceOracle({0: AdditiveValuation({0: 5})})
+        out = wipd_run(0, [0], oracle, 1)
+        assert out.rounds == 1
+        assert out.allocation == {0: frozenset()} and out.prices == ()
+
+    def test_rejects_negative_task_count(self):
+        oracle = BruteForceOracle({0: AdditiveValuation({0: 5})})
+        with pytest.raises(ConfigError, match="num_tasks"):
+            wipd_run(-2, [0], oracle, 1, 5)
+
+    def test_round_hint_sums_the_top_cut_per_task(self):
+        # Cuts are ceil(v / eps) - 1: device 0 has (4, 1, -1) at eps 1 and
+        # device 1 has (2, -1, -1), so the hint is 1 + 4 + 1 + 0.
+        oracle = BruteForceOracle({
+            0: AdditiveValuation({0: 5, 1: 2}), 1: AdditiveValuation({0: 3}),
+        })
+        assert oracle.max_rounds_hint(3, Fraction(1)) == 6
+        assert oracle.max_rounds_hint(3, Fraction(1, 2)) == 1 + 9 + 3
+        assert oracle.max_rounds_hint(0, Fraction(1)) == 1
+        assert BruteForceOracle({}).max_rounds_hint(3, Fraction(1)) == 1
+
+    def test_oracle_without_hint_needs_max_rounds(self):
+        oracle = EnumeratingOracle({0: AdditiveValuation({0: 5})})
+        with pytest.raises(AttributeError, match="max_rounds_hint"):
+            wipd_run(1, [0], oracle, 1)
+        assert wipd_run(1, [0], oracle, 1, max_rounds=3).rounds == 2
 
     def test_rejects_demand_of_held_task(self):
         class Bad:

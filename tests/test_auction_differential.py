@@ -82,7 +82,8 @@ def test_whole_auction_matches_enumeration():
         # Unbounded, the package oracle runs under its own round hint.
         additive = outcome_of(m, valuations, BruteForceOracle(valuations), eps)
         assert additive[0] == "settled"
-        assert additive == outcome_of(m, valuations, EnumeratingOracle(valuations), eps)
+        hint = BruteForceOracle(valuations).max_rounds_hint(m, eps)
+        assert additive == outcome_of(m, valuations, EnumeratingOracle(valuations), eps, hint)
 
 
 def test_auction_cut_short_matches_enumeration():

@@ -69,6 +69,12 @@ GOLDEN = {
         "654866a11b44bad4b373c7048d12ab2442c93b03af952820bae505b88c2b2af2",
     "wipd --num-tasks 1000 --bidders 100 --seed 1":
         "1a330d136f12e709e53bee694ba31f953ef287ee1a43a39d1d08d27ad8b1541b",
+    # One auction under the default pass limit, the oracle's round hint,
+    # and one stopped by --max-rounds before it settles.
+    "wipd --epsilon 1/3 --seed 1":
+        "f7062a24e12422f83f621a6c303f53e2519dcf3762fed3efec5a397d147bc4c8",
+    "wipd --max-rounds 2 --seed 1":
+        "35c7bb9572e34225b360d5cdc3eb4a442b127bcd14e4fa6c1fa7a7128bfd6f88",
     "greedy --seed 3":
         "3d8e80593a467a3f74d3e50a5a91a3a2a82116ebd05a6363ac9a3142384dd991",
     "estimate --degree 6 --p 0.3 --estimator expected":

@@ -6,6 +6,7 @@ import pytest
 from crowdtier import (
     DomainError,
     GraphParseError,
+    SocialGraph,
     build_graph,
     load_edge_list,
     parse_edge_list,
@@ -162,3 +163,16 @@ class TestCoverage:
     def test_build_graph_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             build_graph(2, [(0, 5)])
+
+    def test_build_graph_rejects_negative_size(self):
+        # It used to return SocialGraph(n=-1), on which tenm_run and ntbfm
+        # returned empty outcomes.
+        with pytest.raises(DomainError, match="n is -1"):
+            build_graph(-1, [])
+
+    def test_mask_count_must_equal_n(self):
+        with pytest.raises(DomainError, match="n is 3, but 2 node masks"):
+            SocialGraph(n=3, masks=(0, 0))
+        with pytest.raises(DomainError, match="n is 1, but 2 node masks"):
+            SocialGraph(n=1, masks=(0, 0))
+        assert build_graph(0, []).n == 0
