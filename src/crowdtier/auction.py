@@ -129,10 +129,11 @@ def wipd_run(
 ) -> AuctionOutcome:
     """Ascending-price dynamics.
 
-    Devices are visited in ascending id order; a non-empty demand F is
-    granted (stripping F from every other holder) and each task in F
-    rises in price by epsilon.  The auction ends on the first full pass
-    with no demand; exceeding ``max_rounds`` raises TerminationError.
+    Devices, each id listed once, are visited in ascending id order; a
+    non-empty demand F is granted (stripping F from every other holder)
+    and each task in F rises in price by epsilon.  The auction ends on the
+    first full pass with no demand; exceeding ``max_rounds`` raises
+    TerminationError.
     When ``max_rounds`` is None the limit is the oracle's
     ``max_rounds_hint(num_tasks, epsilon)``, so an oracle without that
     method must be given ``max_rounds``.
@@ -146,12 +147,15 @@ def wipd_run(
         raise ConfigError("epsilon must be positive")
     if num_tasks < 0:
         raise ConfigError(f"num_tasks must be non-negative, got {num_tasks}")
+    order = sorted(devices)
+    for a, b in zip(order, order[1:]):
+        if a == b:
+            raise ConfigError(f"device list repeats a device id: {a!r}")
     if max_rounds is None:
         max_rounds = oracle.max_rounds_hint(num_tasks, eps)
     if max_rounds < 1:
         raise ConfigError("max_rounds must be at least 1")
 
-    order = sorted(devices)
     tasks = frozenset(range(num_tasks))
     levels = [0] * num_tasks
     owner: list[int | None] = [None] * num_tasks
@@ -202,6 +206,8 @@ def greedy_baseline(
     bid divided by the winner's bundle size and an unsold task at 0, so
     every payment is the sum of its bundle's prices.
     """
+    if num_tasks is not None and num_tasks < 0:
+        raise ConfigError(f"num_tasks must be non-negative, got {num_tasks}")
     bids: dict[int, tuple[frozenset[int], Fraction]] = {}
     for i, (bundle, bid) in requests.items():
         bundle = frozenset(bundle)

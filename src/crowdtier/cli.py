@@ -1,5 +1,6 @@
 """Command-line interface over all mechanisms and the experiment harness.
 
+Every subcommand's output goes to stdout, or to the file named by --out.
 Exit codes: 0 success; 1 usage or configuration error; 2 invariant
 violation (a mechanism produced an outcome breaking its own contract).
 """
@@ -120,21 +121,12 @@ def _load_valuations(path: str, num_tasks: int) -> dict[int, auction.AdditiveVal
     return vals
 
 
-def _write(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit(payload: dict, args) -> None:
-    if args.format == "json":
-        _write(canonical_json(payload), args)
-    else:
-        lines = ["key,value"]
-        lines += [f"{key},{csv_cell(value)}" for key, value in sorted(jsonable(payload).items())]
-        _write("\n".join(lines) + "\n", args)
+def _render(payload: dict, fmt: str) -> str:
+    if fmt == "json":
+        return canonical_json(payload)
+    lines = ["key,value"]
+    lines += [f"{key},{csv_cell(value)}" for key, value in sorted(jsonable(payload).items())]
+    return "\n".join(lines) + "\n"
 
 
 def _dense_costs(graph: SocialGraph, args) -> dict[int, Numeric]:
@@ -149,63 +141,51 @@ def _dense_costs(graph: SocialGraph, args) -> dict[int, Numeric]:
     return harness.uniform_costs(range(graph.n), *args.cost_range, stream("costs", args.seed))
 
 
-def _cmd_graph_info(args) -> int:
+def _cmd_graph_info(args) -> str:
     graph = load_edge_list(args.graph_path)
     degrees = [graph.degree(i) for i in range(graph.n)] or [0]
-    _emit(
-        {
-            "nodes": graph.n,
-            "edges": graph.num_edges,
-            "max_degree": max(degrees),
-            "min_degree": min(degrees),
-            "isolated": sum(1 for d in degrees if d == 0),
-        },
-        args,
-    )
-    return 0
+    return _render({
+        "nodes": graph.n,
+        "edges": graph.num_edges,
+        "max_degree": max(degrees),
+        "min_degree": min(degrees),
+        "isolated": sum(1 for d in degrees if d == 0),
+    }, args.format)
 
 
-def _cmd_tier1(args) -> int:
+def _cmd_tier1(args) -> str:
     graph = load_edge_list(args.graph_path)
     costs = _dense_costs(graph, args)
     outcome = harness.run_tier1(args.command, graph, costs, args.budget,
                                 getattr(args, "delta", None))
 
     label = {dense: orig for orig, dense in graph.id_map.items()}
-    _emit(
-        {
-            "mechanism": outcome.mechanism,
-            "budget": args.budget,
-            "selected": [label[i] for i in outcome.selected],
-            "payments": {label[i]: p for i, p in outcome.payments.items()},
-            "total_payment": outcome.total_payment,
-            "notified": sorted(label[i] for i in outcome.notified),
-            "budget_feasible": outcome.total_payment <= args.budget,
-        },
-        args,
-    )
-    return 0
+    return _render({
+        "mechanism": outcome.mechanism,
+        "budget": args.budget,
+        "selected": [label[i] for i in outcome.selected],
+        "payments": {label[i]: p for i, p in outcome.payments.items()},
+        "total_payment": outcome.total_payment,
+        "notified": sorted(label[i] for i in outcome.notified),
+        "budget_feasible": outcome.total_payment <= args.budget,
+    }, args.format)
 
 
-def _cmd_quality(args) -> int:
+def _cmd_quality(args) -> str:
     source = harness.peak_source(args.dist, args.mu, args.sigma)
     ranking = harness.run_quality(args.command, range(args.devices), args.f, args.g, source,
                                   seed=args.seed)
-    _emit(
-        {
-            "mechanism": args.command,
-            "ordered": ranking.ordered,
-            "batches": [
-                {"index": b.index, "aggregate": b.aggregate, "winner": b.winner}
-                for b in ranking.batches
-            ],
-        },
-        args,
-    )
-    return 0
+    return _render({
+        "mechanism": args.command,
+        "ordered": ranking.ordered,
+        "batches": [
+            {"index": b.index, "aggregate": b.aggregate, "winner": b.winner}
+            for b in ranking.batches
+        ],
+    }, args.format)
 
 
-def _cmd_wipd(args) -> int:
+def _cmd_wipd(args) -> str:
     if args.valuations:
         vals = _load_valuations(args.valuations, args.num_tasks)
     else:
@@ -215,36 +195,28 @@ def _cmd_wipd(args) -> int:
     outcome = auction.wipd_run(
         args.num_tasks, list(vals), oracle, args.epsilon, max_rounds=args.max_rounds,
     )
-    _emit(
-        {
-            "mechanism": "wipd",
-            "allocation": {d: sorted(b) for d, b in outcome.allocation.items()},
-            "payments": outcome.payments,
-            "prices": list(outcome.prices),
-            "rounds": outcome.rounds,
-        },
-        args,
-    )
-    return 0
+    return _render({
+        "mechanism": "wipd",
+        "allocation": {d: sorted(b) for d, b in outcome.allocation.items()},
+        "payments": outcome.payments,
+        "prices": list(outcome.prices),
+        "rounds": outcome.rounds,
+    }, args.format)
 
 
-def _cmd_greedy(args) -> int:
+def _cmd_greedy(args) -> str:
     requests = harness.bundle_requests(stream("requests", args.seed), args.num_bidders,
                                        args.num_tasks, *args.val_range)
     outcome = auction.greedy_baseline(requests, num_tasks=args.num_tasks)
-    _emit(
-        {
-            "mechanism": "greedy",
-            "requests": {d: [sorted(b), v] for d, (b, v) in requests.items()},
-            "allocation": {d: sorted(b) for d, b in outcome.allocation.items()},
-            "payments": outcome.payments,
-        },
-        args,
-    )
-    return 0
+    return _render({
+        "mechanism": "greedy",
+        "requests": {d: [sorted(b), v] for d, (b, v) in requests.items()},
+        "allocation": {d: sorted(b) for d, b in outcome.allocation.items()},
+        "payments": outcome.payments,
+    }, args.format)
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> str:
     model = estimators.NotifyModel(args.degree, args.p)
     if args.estimator == "expected":
         value = estimators.expected_notified(model)
@@ -262,20 +234,17 @@ def _cmd_estimate(args) -> int:
         value = estimators.lemma1_bound(args.degree)
         payload = {"estimator": "lemma1", "value": value}
     if args.out or args.format == "csv":
-        _emit(payload, args)
-    else:
-        sys.stdout.write(f"{value}\n")
-    return 0
+        return _render(payload, args.format)
+    return f"{value}\n"
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> str:
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
              if hasattr(args, f.name)}
     given["cost_lo"], given["cost_hi"] = args.cost_range
     given["val_lo"], given["val_hi"] = args.val_range
     report = harness.run_experiment(ExperimentConfig(**given))
-    _write(report.to_json() if args.format == "json" else report.to_csv(), args)
-    return 0
+    return report.to_json() if args.format == "json" else report.to_csv()
 
 
 # Every flag, stated once.  A flag whose dest is an ExperimentConfig field
@@ -384,7 +353,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except InvariantError as exc:

@@ -293,9 +293,7 @@ def _run_greedy_round(config: ExperimentConfig, r: int) -> dict:
 
 def run_experiment(config: ExperimentConfig) -> MechanismReport:
     config.validate()
-    report = MechanismReport(
-        mechanism=config.mechanism, config=config.to_dict(), seed=config.seed
-    )
+    report = MechanismReport(config.to_dict())
 
     if config.mechanism in TIER1:
         graph = load_config_graph(config)
@@ -311,10 +309,5 @@ def run_experiment(config: ExperimentConfig) -> MechanismReport:
     else:
         play = partial(_run_greedy_round, config)
     for r in range(1, config.rounds + 1):
-        report.add_round(r, **play(r))
-
-    report.budget_feasible = all(
-        bool(r.metrics.get("budget_feasible", True)) for r in report.rounds
-    )
+        report.rounds.append({"round": r, "metrics": play(r)})
     return report
-

@@ -2,7 +2,8 @@
 
 Reports must be byte-identical across reruns with the same config and
 seed, so JSON is emitted with sorted keys, fixed separators, and all
-exact rationals rendered as strings.
+exact rationals rendered as strings.  A report stores only its config and
+rounds; its mechanism, seed and budget feasibility are read from them.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ def jsonable(value):
         return [jsonable(v) for v in sorted(value)]
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, float):
-        # round-trippable, locale-independent rendering
-        return value
     return value
 
 
@@ -62,22 +60,19 @@ def config_digest(config: dict) -> str:
 
 
 @dataclass
-class RoundMetrics:
-    round: int
-    metrics: dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
 class MechanismReport:
-    mechanism: str
-    config: dict
-    seed: int
-    rounds: list[RoundMetrics] = field(default_factory=list)
-    budget_feasible: bool = True
-    deviation_witnesses: list[dict] = field(default_factory=list)
+    """An experiment's config and its ``{"round": r, "metrics": {...}}`` rounds."""
 
-    def add_round(self, round_index: int, **metrics) -> None:
-        self.rounds.append(RoundMetrics(round_index, dict(metrics)))
+    config: dict
+    rounds: list[dict] = field(default_factory=list)
+
+    @property
+    def mechanism(self) -> str:
+        return self.config["mechanism"]
+
+    @property
+    def budget_feasible(self) -> bool:
+        return all(bool(r["metrics"].get("budget_feasible", True)) for r in self.rounds)
 
     def to_dict(self) -> dict:
         return {
@@ -85,12 +80,10 @@ class MechanismReport:
             "mechanism": self.mechanism,
             "config": self.config,
             "config_digest": config_digest(self.config),
-            "seed": self.seed,
+            "seed": self.config["seed"],
             "budget_feasible": self.budget_feasible,
-            "rounds": [
-                {"round": r.round, "metrics": r.metrics} for r in self.rounds
-            ],
-            "deviation_witnesses": self.deviation_witnesses,
+            "rounds": self.rounds,
+            "deviation_witnesses": [],
         }
 
     def to_json(self) -> str:
@@ -100,6 +93,7 @@ class MechanismReport:
         """One row per (round, mechanism, metric) for plot tooling."""
         lines = ["round,mechanism,metric,value"]
         for r in self.rounds:
-            for metric in sorted(r.metrics):
-                lines.append(f"{r.round},{self.mechanism},{metric},{csv_cell(r.metrics[metric])}")
+            metrics = r["metrics"]
+            for metric in sorted(metrics):
+                lines.append(f"{r['round']},{self.mechanism},{metric},{csv_cell(metrics[metric])}")
         return "\n".join(lines) + "\n"

@@ -240,6 +240,12 @@ class TestWipdRun:
         with pytest.raises(ConfigError, match="num_tasks"):
             wipd_run(-2, [0], oracle, 1, 5)
 
+    def test_rejects_repeated_device(self):
+        # Device 0 would be asked for its demand twice per pass.
+        oracle = BruteForceOracle({0: AdditiveValuation({0: 5, 1: 3})})
+        with pytest.raises(ConfigError, match="repeats a device id: 0$"):
+            wipd_run(2, [0, 0], oracle, 1)
+
     def test_round_hint_sums_the_top_cut_per_task(self):
         # Cuts are ceil(v / eps) - 1: device 0 has (4, 1, -1) at eps 1 and
         # device 1 has (2, -1, -1), so the hint is 1 + 4 + 1 + 0.
@@ -322,6 +328,13 @@ class TestGreedyBaseline:
             greedy_baseline({0: ({2}, 3)}, num_tasks=2)
         with pytest.raises(DomainError, match="device 1 .* outside"):
             greedy_baseline({0: ({0}, 3), 1: ({-1}, 3)})
+
+    def test_rejects_negative_task_count(self):
+        message = "num_tasks must be non-negative, got -1"
+        with pytest.raises(ConfigError, match=message):
+            greedy_baseline({}, num_tasks=-1)
+        with pytest.raises(ConfigError, match=message):
+            greedy_baseline({0: ({0}, 3)}, num_tasks=-1)
 
     def test_tie_breaks_to_lowest_id(self):
         requests = {5: ({0}, 3), 2: ({0}, 3)}

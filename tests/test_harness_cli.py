@@ -8,7 +8,7 @@ import pytest
 
 import crowdtier
 
-from crowdtier import ConfigError, ExperimentConfig, run_experiment
+from crowdtier import ConfigError, ExperimentConfig, MechanismReport, run_experiment
 from crowdtier import harness
 from crowdtier.cli import _load_costs_csv, main
 from crowdtier.harness import synthetic_graph
@@ -23,7 +23,7 @@ class TestRunExperiment:
         assert report.budget_feasible
         assert len(report.rounds) == 5
         for r in report.rounds:
-            assert r.metrics["budget_feasible"]
+            assert r["metrics"]["budget_feasible"]
 
     def test_deterministic_bytes(self):
         config = ExperimentConfig(mechanism="psm", synthetic_n=20, seed=7, rounds=5)
@@ -44,7 +44,7 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         for r in report.rounds:
-            assert len(r.metrics["deviators"]) == 6
+            assert len(r["metrics"]["deviators"]) == 6
 
     def test_quality_mechanisms_partition(self):
         config = ExperimentConfig(
@@ -52,7 +52,7 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         for r in report.rounds:
-            assert r.metrics["batches"] == 4
+            assert r["metrics"]["batches"] == 4
 
     def test_wipd_rounds_settle(self):
         config = ExperimentConfig(
@@ -61,7 +61,7 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         for r in report.rounds:
-            assert r.metrics["rounds_to_settle"] >= 1
+            assert r["metrics"]["rounds_to_settle"] >= 1
 
     def test_wipd_seller_scoring_gives_winners_negative_utility(self):
         # The harness scores a wipd winner as payment - value, a seller's
@@ -71,15 +71,15 @@ class TestRunExperiment:
         for seed in range(5):
             config = ExperimentConfig(mechanism="wipd", seed=seed, rounds=3)
             for r in run_experiment(config).rounds:
-                if any(r.metrics["allocation"].values()):
-                    assert r.metrics["total_utility"] < 0
+                if any(r["metrics"]["allocation"].values()):
+                    assert r["metrics"]["total_utility"] < 0
                     winning_rounds += 1
         assert winning_rounds == 15
 
     def test_greedy_reports_winners(self):
         config = ExperimentConfig(mechanism="greedy", seed=4, rounds=3)
         report = run_experiment(config)
-        assert all("winners" in r.metrics for r in report.rounds)
+        assert all("winners" in r["metrics"] for r in report.rounds)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -99,6 +99,21 @@ class TestRunExperiment:
         # Not even a mechanism that draws no peaks may carry NaN into its report.
         with pytest.raises(ConfigError, match="peaks"):
             run_experiment(ExperimentConfig(mechanism="tenm", synthetic_n=5, mu=mu, sigma=sigma))
+
+    def test_report_derives_mechanism_seed_and_feasibility(self):
+        config = ExperimentConfig(mechanism="psm", seed=9, rounds=2).to_dict()
+        rounds = [
+            {"round": 1, "metrics": {"budget_feasible": True}},
+            {"round": 2, "metrics": {"budget_feasible": False}},
+        ]
+        report = MechanismReport(config, rounds)
+        text = report.to_json()
+        assert text.startswith('{"budget_feasible":false,')
+        payload = json.loads(text)
+        assert payload["mechanism"] == "psm" and payload["seed"] == 9
+        assert payload["deviation_witnesses"] == []
+        assert payload["rounds"] == rounds
+        assert MechanismReport(config, rounds[:1]).budget_feasible
 
     def test_budget_sweep_winner_count_monotone(self):
         graph = synthetic_graph(20, 0.3, 11)
@@ -274,6 +289,33 @@ class TestCli:
         assert code == 0
         assert json.loads(out.read_text())["selected"] == [1, 6]
 
+    @pytest.mark.parametrize("argv", [
+        ["graph-info", "--graph", "GRAPH"],
+        ["tenm", "--graph", "GRAPH", "--budget", "12", "--costs", "COSTS", "--format", "csv"],
+        ["wipd", "--seed", "1"],
+        ["greedy", "--seed", "1"],
+        ["ectai", "--seed", "2"],
+        ["experiment", "--mechanism", "tenm", "--n", "20", "--rounds", "2"],
+        ["experiment", "--mechanism", "wipd", "--rounds", "2", "--format", "csv"],
+    ])
+    def test_out_writes_the_bytes_stdout_shows(self, capsys, tmp_path, ex6_paths, argv):
+        argv = [dict(zip(("GRAPH", "COSTS"), ex6_paths)).get(a, a) for a in argv]
+        assert main(argv) == 0
+        shown = capsys.readouterr().out
+        out = tmp_path / "report"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == shown.encode("utf-8")
+
+    def test_estimate_prints_the_value_and_writes_the_payload(self, capsys, tmp_path):
+        argv = ["estimate", "--degree", "4", "--p", "0.5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "2.0\n"
+        out = tmp_path / "estimate.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == '{"estimator":"expected","value":2.0}\n'
+
     @pytest.mark.parametrize("row", ["2", "1,x", "1,nan", "x,1", "1,100"])
     def test_bad_costs_row_is_line_numbered_config_error(self, tmp_path, row):
         path = tmp_path / "costs.csv"
@@ -364,14 +406,14 @@ class TestQualityExperimentDevices:
             mechanism=mechanism, synthetic_n=40, seed=3, rounds=2, deviation_frac=0.3,
         ))
         for r in report.rounds:
-            assert sorted(r.metrics["ordered"]) == sorted(set(r.metrics["ordered"]))
-            assert r.metrics["batches"] == 14
+            assert sorted(r["metrics"]["ordered"]) == sorted(set(r["metrics"]["ordered"]))
+            assert r["metrics"]["batches"] == 14
 
     def test_graph_file_sets_device_count(self, no_graph_draw, ex6_paths):
         report = run_experiment(ExperimentConfig(
             mechanism="ectai", graph_path=ex6_paths[0], seed=3, rounds=1, f=2, g=2,
         ))
-        assert report.rounds[0].metrics["batches"] == 3
+        assert report.rounds[0]["metrics"]["batches"] == 3
 
     def test_missing_graph_file_exits_1(self, capsys):
         code = main(["experiment", "--mechanism", "ectai", "--graph", "/no/such/file"])
