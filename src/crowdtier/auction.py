@@ -23,6 +23,8 @@ class AdditiveValuation:
     def __init__(self, per_task: Mapping[int, Numeric]):
         self.per_task = {t: v if type(v) is int else as_fraction(v) for t, v in per_task.items()}
         for t, v in self.per_task.items():
+            if t < 0:
+                raise DomainError(f"negative task id {t}")
             if v < 0:
                 raise DomainError(f"negative value for task {t}")
 

@@ -88,10 +88,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> SocialGraph:
     """Build a graph from 0-based edge pairs (self-loops dropped, deduped)."""
     masks = [0] * n
     for u, v in edges:
-        if u == v:
-            continue
         if not (0 <= u < n and 0 <= v < n):
             raise DomainError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
+        if u == v:
+            continue
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return SocialGraph(n=n, masks=tuple(masks), id_map={i: i for i in range(n)})

@@ -19,7 +19,7 @@ from functools import partial
 from typing import Sequence
 
 from . import auction, notifier, quality
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .graph import SocialGraph, build_graph, load_edge_list
 from .notifier import Numeric, as_fraction
 from .report import MechanismReport, jsonable
@@ -71,8 +71,7 @@ class ExperimentConfig:
             raise ConfigError("valuation range must satisfy 1 <= lo <= hi")
         if not 0.0 <= self.deviation_frac <= 1.0:
             raise ConfigError("deviation fraction must lie in [0, 1]")
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise ConfigError("edge probability must lie in [0, 1]")
+        _check_edge_prob(self.edge_prob)
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")
         if self.dist not in DISTRIBUTIONS:
@@ -94,7 +93,13 @@ class ExperimentConfig:
         return out
 
 
+def _check_edge_prob(edge_prob: float) -> None:
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ConfigError("edge probability must lie in [0, 1]")
+
+
 def synthetic_graph(n: int, edge_prob: float, seed: int) -> SocialGraph:
+    _check_edge_prob(edge_prob)
     rng = stream("graph", seed)
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n)
@@ -192,43 +197,38 @@ def _run_tier1_round(config: ExperimentConfig, graph: SocialGraph, r: int) -> di
 
 # --- quality rounds -------------------------------------------------------
 
-def _quality_fixture(config: ExperimentConfig, devices: list[int], r: int):
-    """Plan every batch on the round's streams, then rewrite the deviators'
-    reports.
+def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> dict:
+    """Draw every batch on the round's streams and rank it as it comes.
 
     Deviating reviewers report the position of their favorite panel
     device (the one nearest their true peak) instead of the peak itself.
+    Regrets are measured from the true peaks.
     """
     deviators = set(
         pick_deviators(devices, config.deviation_frac, stream("deviators", config.seed, r))
     )
-    scripts, true_peaks = quality.plan_batches(
-        devices, config.f, config.g, peak_source(config.dist, config.mu, config.sigma),
-        lambda batch: stream("qbatch", config.seed, r, batch),
-    )
-    reports = dict(true_peaks)
-    for batch, entry in enumerate(scripts):
-        for rev in deviators.intersection(entry.reviewers):
-            alpha = true_peaks[(batch, rev)]
-            favorite = quality.select_quality([(d, entry.positions[d]) for d in entry.eta], alpha)
-            reports[(batch, rev)] = entry.positions[favorite]
-    return scripts, reports, true_peaks, deviators
-
-
-def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> dict:
-    scripts, reports, true_peaks, deviators = _quality_fixture(config, devices, r)
-    ranking = run_quality(config.mechanism, devices, config.f, config.g, reports,
-                          seed=config.seed, script=scripts)
-
+    aggregate_of = quality.median_of if config.mechanism == "ectai" else quality.mean_of
+    ordered = []
     regrets = []
     deviator_regrets = []
-    for record in ranking.batches:
-        for rev in record.reports:
-            regret = quality.reviewer_regret(true_peaks[(record.index, rev)], record.aggregate)
+    for _, reviewers, panel, peaks in quality.draw_batches(
+        devices, config.f, config.g, peak_source(config.dist, config.mu, config.sigma),
+        lambda batch: stream("qbatch", config.seed, r, batch),
+    ):
+        reports = list(peaks)
+        for i, rev in enumerate(reviewers):
+            if rev in deviators:
+                reports[i] = dict(panel)[quality.select_quality(panel, peaks[i])]
+            elif not 0.0 <= peaks[i] <= 1.0:
+                raise DomainError(f"report {peaks[i]} from reviewer {rev} outside [0, 1]")
+        aggregate = aggregate_of(reports)
+        ordered.append(quality.select_quality(panel, aggregate))
+        for rev, alpha in zip(reviewers, peaks):
+            regret = quality.reviewer_regret(alpha, aggregate)
             (deviator_regrets if rev in deviators else regrets).append(regret)
     return {
-        "ordered": list(ranking.ordered),
-        "batches": len(ranking.batches),
+        "ordered": ordered,
+        "batches": len(ordered),
         "deviators": sorted(deviators),
         "mean_regret": quality.mean_of(regrets) if regrets else 0.0,
         "mean_deviator_regret": quality.mean_of(deviator_regrets) if deviator_regrets else 0.0,

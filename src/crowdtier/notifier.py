@@ -156,6 +156,16 @@ def _scaled_costs(ids: Iterable, costs: Mapping[int, Numeric]) -> tuple[list[int
     return [c.numerator * (scale // c.denominator) for c in cost], scale
 
 
+def _graph_costs(graph: SocialGraph, costs: Mapping[int, Numeric]) -> tuple[list[int], int]:
+    """:func:`_scaled_costs` of the graph's nodes.  Once each node has a
+    cost, any further key is a node outside the graph: DomainError."""
+    scaled = _scaled_costs(range(graph.n), costs)
+    if len(costs) != graph.n:
+        for i in costs:
+            graph._check(i)
+    return scaled
+
+
 def _greedy_heap(masks: tuple[int, ...], scaled: list[int]):
     """Shifted heap weights, the id mask, and the initial lazy heap.
 
@@ -295,7 +305,7 @@ def nam_select(
     if delta <= 0:
         raise ConfigError("delta must be positive")
 
-    scaled, scale = _scaled_costs(range(graph.n), costs)
+    scaled, scale = _graph_costs(graph, costs)
     weights, ids, heap = _greedy_heap(graph.masks, scaled)
     admits = _admission(budget / delta, scaled, scale)
     *admitted, (_, _, covered, _) = _greedy_pass(graph.masks, weights, ids, admits, heap)
@@ -326,7 +336,7 @@ def npm_prices(
     Raises DomainError on an unknown, non-integer or repeated node id.
     """
     budget = positive_budget(budget)
-    scaled, scale = _scaled_costs(range(graph.n), costs)
+    scaled, scale = _graph_costs(graph, costs)
     for j in selected:
         graph._check(j)
     pending = set(selected)
@@ -369,7 +379,7 @@ def tenm_run(
     if delta < 1:
         raise ConfigError(f"delta must be at least 1 for tenm, got {delta}")
     budget = positive_budget(budget)
-    scaled, scale = _scaled_costs(range(graph.n), costs)
+    scaled, scale = _graph_costs(graph, costs)
     admits = _admission(budget / delta, scaled, scale)
     payments: dict[int, Fraction] = {}
     # The undamped pass's last position fails the damped rule too.
@@ -395,7 +405,7 @@ def ntbfm(
     ``num * D - den * sum(C_j)``, and node i fits iff ``C_i * den <= room``.
     """
     budget = positive_budget(budget)
-    scaled, scale = _scaled_costs(range(graph.n), costs)
+    scaled, scale = _graph_costs(graph, costs)
     _, ids, keys = _greedy_heap(graph.masks, scaled)
     room, den = budget.numerator * scale, budget.denominator
     selected: list[int] = []

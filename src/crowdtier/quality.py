@@ -2,18 +2,19 @@
 collect reviewer peak reports, and pick each batch's winner by the report
 median (or the mean, for the AVR baseline).
 
-A run plans every batch with ``plan_batches`` on per-batch streams chosen
-by the caller, then replays the plan; the harness rewrites deviators'
-reports between the two.
+``draw_batches`` draws each batch on a per-batch stream chosen by the
+caller.  A run either walks those draws once, as the harness does,
+rewriting deviators' reports on the way, or replays a fixed script, such
+as the one ``plan_batches`` collects from the same draws.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, DomainError
 
@@ -45,11 +46,20 @@ def mean_of(reports: Sequence[float]) -> float:
 def select_quality(panel: Sequence[tuple[int, float]], aggregate: float) -> int:
     """Panel device whose position is nearest the aggregate peak value.
 
-    Ties break to the lowest device id.
+    Ties break to the lowest device id.  Comparisons are those of ``min``
+    over ``(distance, id)`` keys, so a NaN aggregate picks the first panel
+    device.
     """
     if not panel:
         raise DomainError("empty panel")
-    return min(panel, key=lambda e: (abs(e[1] - aggregate), e[0]))[0]
+    entries = iter(panel)
+    winner, position = next(entries)
+    best = abs(position - aggregate)
+    for device, position in entries:
+        distance = abs(position - aggregate)
+        if distance < best or distance == best and device < winner:
+            winner, best = device, distance
+    return winner
 
 
 def reviewer_regret(true_alpha: float, aggregate: float) -> float:
@@ -118,17 +128,20 @@ def _batch_rng(seed: int, batch: int) -> random.Random:
     return random.Random((seed + 1) * 1_000_003 + batch)
 
 
-def plan_batches(
+def draw_batches(
     devices: Iterable[int],
     f: int,
     g: int,
     peak_source,
     batch_rng: Callable[[int], random.Random],
-) -> tuple[list[BatchScript], dict[tuple[int, int], float]]:
-    """Batch scripts until each device is ranked once, and the reviewers'
-    peaks keyed by (batch, reviewer).  Batch b draws from ``batch_rng(b)``
-    its f ranked devices, g reviewers from outside the panel (ranked
-    devices stay eligible), the panel's positions, then the peaks.
+) -> Iterator[tuple[list[int], list[int], list[tuple[int, float]], list[float]]]:
+    """Draw batches until each device is ranked once, yielding each batch's
+    ``(eta, reviewers, panel, peaks)``: its ranked devices and its
+    reviewers, both sorted, the ``(device, position)`` panel in ``eta``
+    order, and each reviewer's peak in ``reviewers`` order.  Batch b draws
+    from ``batch_rng(b)`` its f ranked devices, g reviewers from outside
+    the panel (ranked devices stay eligible), the panel's positions, then
+    the peaks.
 
     Reviewers are sampled as indices into the pool of sorted devices less
     the panel, and the pool itself is never built.  ``random.sample``
@@ -136,39 +149,65 @@ def plan_batches(
     indexing, or by ``list()`` when it is small), and its random draws
     depend on ``(len(population), k)`` alone, so sampling
     ``range(len(pool))`` takes the same draws from the stream as sampling
-    the pool.  Pool index j maps back to ``devices`` by stepping past each
-    panel position at or below it, in ascending order; the map is
+    the pool.  Pool index j maps back to ``devices`` index j + c, where c
+    counts the panel devices at sorted place k and ``devices`` index p with
+    p - k <= j (one ``bisect_right`` over those p - k); the map is
     increasing, so sorted indices give sorted reviewers.  ``unranked`` is
     one sorted list that drops the panel in place, so each panel draw sees
     the same devices in the same order, and no batch copies the population.
+
+    A stream whose ``sample`` ranks a device twice, or draws a reviewer
+    index twice or outside the pool, is a ``ConfigError`` naming the batch.
     """
     devices = sorted(set(devices))
     if f < 1 or g < 1:
         raise ConfigError("f and g must be at least 1")
     if f + g > len(devices):
         raise ConfigError(f"f + g = {f + g} exceeds the {len(devices)} available devices")
-    scripts: list[BatchScript] = []
-    peaks: dict[tuple[int, int], float] = {}
     unranked = list(devices)
+    batch = 0
     while unranked:
-        batch = len(scripts)
         rng = batch_rng(batch)
         eta = sorted(rng.sample(unranked, min(f, len(unranked))))
-        skip = [bisect_left(devices, d) for d in eta]
+        if not eta:
+            raise ConfigError(f"batch {batch} ranks no device")
+        below = []
+        for k, d in enumerate(eta):
+            at = bisect_left(unranked, d)
+            if at == len(unranked) or unranked[at] != d:
+                raise ConfigError(f"batch {batch} ranks device {d}, which is not unranked")
+            del unranked[at]
+            below.append(bisect_left(devices, d) - k)
+        pool = len(devices) - len(eta)
         reviewers = []
-        for j in sorted(rng.sample(range(len(devices) - len(eta)), g)):
-            for p in skip:
-                if p <= j:
-                    j += 1
-                else:
-                    break
-            reviewers.append(devices[j])
-        positions = {d: rng.random() for d in eta}
-        for r in reviewers:
-            peaks[(batch, r)] = peak_source.sample(rng)
-        scripts.append(BatchScript(tuple(eta), tuple(reviewers), positions))
-        for d in eta:
-            del unranked[bisect_left(unranked, d)]
+        last = -1
+        for j in sorted(rng.sample(range(pool), g)):
+            if not last < j < pool:
+                raise ConfigError(f"batch {batch} draws reviewer index {j} twice or "
+                                  f"outside the pool 0..{pool - 1}")
+            last = j
+            reviewers.append(devices[j + bisect_right(below, j)])
+        panel = [(d, rng.random()) for d in eta]
+        yield eta, reviewers, panel, [peak_source.sample(rng) for _ in reviewers]
+        batch += 1
+
+
+def plan_batches(
+    devices: Iterable[int],
+    f: int,
+    g: int,
+    peak_source,
+    batch_rng: Callable[[int], random.Random],
+) -> tuple[list[BatchScript], dict[tuple[int, int], float]]:
+    """The batches of :func:`draw_batches` as replayable scripts, and the
+    reviewers' peaks keyed by (batch, reviewer)."""
+    scripts: list[BatchScript] = []
+    peaks: dict[tuple[int, int], float] = {}
+    for batch, (eta, reviewers, panel, drawn) in enumerate(
+            draw_batches(devices, f, g, peak_source, batch_rng)):
+        scripts.append(BatchScript(tuple(eta), tuple(reviewers), dict(panel)))
+        for r, alpha in zip(reviewers, drawn):
+            peaks[(batch, r)] = alpha
     return scripts, peaks
 
 
@@ -188,24 +227,38 @@ def _check_entry(batch: int, entry: BatchScript, population: set[int],
             raise ConfigError(f"scripted batch {batch} {fault} {sorted(bad)}")
 
 
-def _run_batches(devices: Iterable[int], f: int, g: int, peaks, seed: int,
-                 aggregator: Callable[[Sequence[float]], float],
-                 script: Sequence[BatchScript] | None) -> QualityRanking:
-    population = set(devices)
-    if script is None:
-        script, peaks = plan_batches(population, f, g, peaks,
-                                     lambda batch: _batch_rng(seed, batch))
-    elif f < 1 or g < 1:
+def _scripted(devices: Iterable[int], f: int, g: int, peaks,
+              script: Sequence[BatchScript]) -> Iterator[tuple[list, dict]]:
+    """Each checked script batch's panel and its reports, until every
+    device is ranked."""
+    if f < 1 or g < 1:
         raise ConfigError("f and g must be at least 1")
-
+    population = set(devices)
     unranked = set(population)
-    result = QualityRanking()
     for batch, entry in enumerate(script):
         if not unranked:
-            break
+            return
         _check_entry(batch, entry, population, unranked)
-        panel = [(d, entry.positions[d]) for d in entry.eta]
-        reports = {r: peaks.get((batch, r)) for r in entry.reviewers}
+        yield ([(d, entry.positions[d]) for d in entry.eta],
+               {r: peaks.get((batch, r)) for r in entry.reviewers})
+        unranked.difference_update(entry.eta)
+    if unranked:
+        raise ConfigError(f"script ends before batch {len(script)}")
+
+
+def _drawn(devices: Iterable[int], f: int, g: int, peak_source,
+           seed: int) -> Iterator[tuple[list, dict]]:
+    """Each batch :func:`draw_batches` draws on ``seed``'s streams, as its
+    panel and its reports."""
+    for _, reviewers, panel, peaks in draw_batches(
+            devices, f, g, peak_source, lambda batch: _batch_rng(seed, batch)):
+        yield panel, dict(zip(reviewers, peaks))
+
+
+def _rank(batches: Iterable[tuple[list, dict]],
+          aggregator: Callable[[Sequence[float]], float]) -> QualityRanking:
+    result = QualityRanking()
+    for batch, (panel, reports) in enumerate(batches):
         for r, a in reports.items():
             if a is None:
                 raise DomainError(f"no scripted report for batch {batch}, reviewer {r}")
@@ -215,10 +268,17 @@ def _run_batches(devices: Iterable[int], f: int, g: int, peaks, seed: int,
         winner = select_quality(panel, aggregate)
         result.ordered.append(winner)
         result.batches.append(BatchRecord(batch, panel, reports, aggregate, winner))
-        unranked.difference_update(entry.eta)
-    if unranked:
-        raise ConfigError(f"script ends before batch {len(script)}")
     return result
+
+
+def _run_batches(devices: Iterable[int], f: int, g: int, peaks, seed: int,
+                 aggregator: Callable[[Sequence[float]], float],
+                 script: Sequence[BatchScript] | None) -> QualityRanking:
+    if script is None:
+        batches = _drawn(devices, f, g, peaks, seed)
+    else:
+        batches = _scripted(devices, f, g, peaks, script)
+    return _rank(batches, aggregator)
 
 
 def ectai_run(
@@ -237,8 +297,9 @@ def ectai_run(
     batch.  The final batch may be shorter than f.
 
     Without ``script``, ``peaks`` is a peak source and the batches are
-    planned on ``seed``'s streams; with it, ``peaks`` holds the reports
-    keyed by (batch, reviewer), as ``plan_batches`` returns them.
+    those :func:`draw_batches` draws on ``seed``'s streams; with it,
+    ``peaks`` holds the reports keyed by (batch, reviewer), as
+    ``plan_batches`` returns them.
     """
     return _run_batches(devices, f, g, peaks, seed, median_of, script)
 

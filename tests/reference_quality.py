@@ -1,10 +1,11 @@
-"""Test-only reference for tier-2 batch planning.
+"""Test-only references for tier-2 batch planning and winner selection.
 
-This is the straightforward ``plan_batches`` the package shipped before it
-drew reviewers by index: every batch copies the population into a fresh
-``pool`` list for ``rng.sample`` and rebuilds ``unranked`` without the
-panel, O(n) per batch.  The differential tests compare the package
-against it.
+``plan_batches`` is the straightforward planner the package shipped
+before it drew reviewers by index: every batch copies the population into
+a fresh ``pool`` list for ``rng.sample`` and rebuilds ``unranked``
+without the panel, O(n) per batch.  ``select_quality`` is the one-line
+``min`` the package used before its plain loop.  The differential tests
+compare the package against both.
 """
 
 from __future__ import annotations
@@ -35,3 +36,7 @@ def plan_batches(devices, f, g, peak_source, batch_rng):
         scripts.append(BatchScript(tuple(eta), tuple(reviewers), positions))
         unranked = [d for d in unranked if d not in chosen]
     return scripts, peaks
+
+
+def select_quality(panel, aggregate):
+    return min(panel, key=lambda e: (abs(e[1] - aggregate), e[0]))[0]

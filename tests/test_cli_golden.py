@@ -351,6 +351,10 @@ GOLDEN = {
         "a280368aff8b1548c9b5bc8cf5248fa9fdf4c40a7a949828c6445ab6559a1118",
     "avr --devices 300 --f 5 --g 7 --seed 1":
         "4c911b334a04815df0e5199a12f57917621a20b0de1088c2a923f85066c53971",
+    "ectai --devices 300 --f 5 --g 7 --seed 2":
+        "c0add635d1212d150214dbd067683560c4ee6ea35ed252248e3ce2f2c401c098",
+    "avr --devices 300 --f 5 --g 7 --seed 2":
+        "5e81b71c0529d6f6f7d115f24e1ce609090276467485aad91a4c5882536ddeaf",
     "ectai --devices 150 --f 6 --g 12 --dist normal --seed 4":
         "5e09da0a8209cff1a8fd15256e3d051d3f6000ca29d68cd1e8ee1089cc97685b",
     "experiment --mechanism ectai --n 300 --f 5 --g 7 --rounds 1 --deviation-frac 0.2 --seed 2":

@@ -303,3 +303,70 @@ class TestMedianStrategyproofness:
         panel = [0.2, 0.5, 0.8]
         truthful_gap = abs(mean_of(panel) - 0.2)
         assert abs(mean_of([0.0, 0.5, 0.8]) - 0.2) < truthful_gap
+
+
+class ScriptedSample(random.Random):
+    """A batch stream whose ``sample`` returns a fixed panel or fixed
+    reviewer indices; every other draw is the seeded stream's."""
+
+    def __init__(self, batch, panel=None, picks=None):
+        super().__init__(f"scripted-sample:{batch}")
+        self.panel, self.picks = panel, picks
+
+    def sample(self, population, k):
+        fixed = self.picks if isinstance(population, range) else self.panel
+        return list(fixed) if fixed is not None else super().sample(population, k)
+
+
+class TestDrawBatches:
+    def run(self, **fixed):
+        return list(quality.draw_batches(range(10), 2, 3, UniformPeaks(),
+                                         lambda b: ScriptedSample(b, **fixed)))
+
+    def test_yields_plain_lists_in_plan_batches_order(self):
+        def batch_rng(b):
+            return random.Random(f"draw:{b}")
+
+        scripts, peaks = plan_batches(range(11), 3, 4, NormalPeaks(), batch_rng)
+        drawn = list(quality.draw_batches(range(11), 3, 4, NormalPeaks(), batch_rng))
+        assert [len(eta) for eta, _, _, _ in drawn] == [3, 3, 3, 2]
+        for b, (eta, reviewers, panel, alphas) in enumerate(drawn):
+            assert (tuple(eta), tuple(reviewers), dict(panel)) == (
+                scripts[b].eta, scripts[b].reviewers, scripts[b].positions)
+            assert alphas == [peaks[(b, r)] for r in reviewers]
+
+    def test_already_ranked_device_names_the_batch(self):
+        with pytest.raises(ConfigError) as exc:
+            self.run(panel=[4, 7])
+        assert str(exc.value) == "batch 1 ranks device 4, which is not unranked"
+
+    def test_device_ranked_twice_in_one_batch_names_the_batch(self):
+        with pytest.raises(ConfigError) as exc:
+            self.run(panel=[5, 5])
+        assert str(exc.value) == "batch 0 ranks device 5, which is not unranked"
+
+    def test_repeated_reviewer_index_names_the_batch(self):
+        with pytest.raises(ConfigError) as exc:
+            self.run(picks=[6, 2, 2])
+        assert str(exc.value) == "batch 0 draws reviewer index 2 twice or outside the pool 0..7"
+
+    @pytest.mark.parametrize("picks", [[-1, 0, 3], [0, 3, 8]])
+    def test_reviewer_index_outside_the_pool_names_the_batch(self, picks):
+        # Index -1 or 8 would map to a panel device or past the population.
+        with pytest.raises(ConfigError) as exc:
+            self.run(picks=picks)
+        assert str(exc.value).startswith("batch 0 draws reviewer index ")
+
+    def test_empty_panel_draw_names_the_batch(self):
+        with pytest.raises(ConfigError) as exc:
+            self.run(panel=[])
+        assert str(exc.value) == "batch 0 ranks no device"
+
+    def test_drawn_peak_outside_unit_interval_rejected(self):
+        class Above:
+            def sample(self, rng):
+                return 1.5
+
+        with pytest.raises(DomainError) as exc:
+            avr_run(range(10), 2, 3, Above(), seed=1)
+        assert str(exc.value).endswith("outside [0, 1]")

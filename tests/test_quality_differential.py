@@ -1,6 +1,8 @@
-"""Differential tests: ``plan_batches``, which draws reviewers by pool index
-and shrinks one sorted ``unranked`` list in place, must return exactly the
-scripts and peaks of the list-rebuilding reference (``reference_quality``)."""
+"""Differential tests: ``plan_batches`` and the ``draw_batches`` walk it
+collects, which draw reviewers by pool index and shrink one sorted
+``unranked`` list in place, must give exactly the scripts and peaks of the
+list-rebuilding reference (``reference_quality``), and ``select_quality``
+must pick what the reference's ``min`` picks."""
 
 import math
 import random
@@ -10,7 +12,7 @@ import pytest
 
 import reference_quality as ref
 from crowdtier import NormalPeaks, UniformPeaks
-from crowdtier.quality import plan_batches
+from crowdtier.quality import draw_batches, plan_batches, select_quality
 
 SOURCES = {"uniform": UniformPeaks(), "normal": NormalPeaks(0.4, 0.25)}
 
@@ -93,3 +95,81 @@ def test_sparse_and_duplicate_ids(source):
 def test_large_population():
     scripts = assert_same(range(7, 7 + 3 * 2997, 3), 5, 7, UniformPeaks(), "large")
     assert len(scripts) == 600
+
+
+# --- draw_batches, batch for batch ------------------------------------------
+
+def assert_same_draws(devices, f, g, source, tag):
+    """``draw_batches`` yields, batch for batch, the eta, reviewers,
+    positions and peaks that the reference plans."""
+    def batch_rng(batch):
+        return random.Random(f"{tag}:{batch}")
+
+    scripts, peaks = ref.plan_batches(devices, f, g, source, batch_rng)
+    drawn = list(draw_batches(devices, f, g, source, batch_rng))
+    assert len(drawn) == len(scripts)
+    for b, ((eta, reviewers, panel, alphas), script) in enumerate(zip(drawn, scripts)):
+        assert eta == list(script.eta)
+        assert reviewers == list(script.reviewers)
+        assert panel == [(d, script.positions[d]) for d in script.eta]
+        assert alphas == [peaks[(b, r)] for r in script.reviewers]
+    return drawn
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+@pytest.mark.parametrize("f,g", [(1, 1), (3, 3), (5, 7), (2, 9), (6, 12), (4, 22)])
+def test_draw_batches_matches_reference_across_sample_branches(source, f, g):
+    edge = sample_setsize(g) + f
+    sizes = sorted({*range(f + g, f + g + 6), *range(edge - 3, edge + 4), 150, 400})
+    branches = set()
+    for n in sizes:
+        drawn = assert_same_draws(range(n), f, g, SOURCES[source], f"d:{n}:{f}:{g}")
+        branches.update(n - len(eta) <= sample_setsize(g) for eta, _, _, _ in drawn)
+    assert branches == {True, False}
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_draw_batches_sparse_and_duplicate_ids(source):
+    rng = random.Random(f"draw-sparse:{source}")
+    for t in range(60):
+        f, g = rng.randint(1, 8), rng.randint(1, 14)
+        n = rng.randint(f + g, 260)
+        devices = rng.sample(range(-50, 20 * n), n)
+        devices += rng.choices(devices, k=rng.randint(0, 6))
+        rng.shuffle(devices)
+        drawn = assert_same_draws(devices, f, g, SOURCES[source], f"ds:{t}")
+        assert sorted(d for eta, _, _, _ in drawn for d in eta) == sorted(set(devices))
+
+
+def test_draw_batches_at_benchmark_size():
+    drawn = assert_same_draws(range(2500), 5, 7, UniformPeaks(), "bench")
+    assert len(drawn) == 500
+
+
+# --- select_quality against the min over (distance, id) keys ----------------
+
+def test_select_quality_matches_min_reference():
+    rng = random.Random("select")
+    nan = float("nan")
+    grid = [k / 8 for k in range(9)]
+    for _ in range(3000):
+        size = rng.randint(1, 7)
+        ids = rng.sample(range(-5, 40), size)
+        # Positions on a coarse grid make distance ties common.
+        positions = [rng.choice(grid) for _ in ids]
+        if rng.random() < 0.15:
+            positions[rng.randrange(size)] = nan
+        panel = list(zip(ids, positions))
+        aggregate = rng.choice([*grid, rng.random(), nan])
+        assert select_quality(panel, aggregate) == ref.select_quality(panel, aggregate)
+
+
+@pytest.mark.parametrize("panel, aggregate, winner", [
+    ([(4, 0.5), (2, 0.5), (3, 0.5)], 0.25, 2),
+    ([(9, 0.75), (5, 0.25)], 0.5, 5),
+    ([(3, 0.2), (1, 0.9)], float("nan"), 3),
+    ([(3, float("nan")), (1, 0.9)], 0.5, 3),
+    ([(3, 0.2), (1, float("nan"))], 0.5, 3),
+])
+def test_select_quality_ties_and_nan(panel, aggregate, winner):
+    assert select_quality(panel, aggregate) == ref.select_quality(panel, aggregate) == winner
