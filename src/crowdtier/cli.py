@@ -15,7 +15,7 @@ from dataclasses import fields
 from fractions import Fraction
 from functools import cache, partial
 
-from . import auction, estimators, harness
+from . import auction, estimators, harness, quality
 from .errors import (
     ConfigError,
     CrowdtierError,
@@ -172,9 +172,10 @@ def _cmd_tier1(args) -> str:
 
 
 def _cmd_quality(args) -> str:
-    source = harness.peak_source(args.dist, args.mu, args.sigma)
-    ranking = harness.run_quality(args.command, range(args.devices), args.f, args.g, source,
-                                  seed=args.seed)
+    # Looked up at call time, so a wrapper on the module attribute sees the call.
+    run = quality.ectai_run if args.command == "ectai" else quality.avr_run
+    ranking = run(range(args.devices), args.f, args.g,
+                  harness.peak_source(args.dist, args.mu, args.sigma), seed=args.seed)
     return _render({
         "mechanism": args.command,
         "ordered": ranking.ordered,

@@ -162,15 +162,9 @@ def run_tier1(mechanism: str, graph: SocialGraph, costs, budget, delta) -> notif
     return notifier.psm(costs, budget, graph)
 
 
-def run_quality(mechanism: str, devices, f: int, g: int, peaks, seed: int = 0,
-                script=None) -> quality.QualityRanking:
-    runner = quality.ectai_run if mechanism == "ectai" else quality.avr_run
-    return runner(devices, f, g, peaks, seed=seed, script=script)
-
-
 # --- tier-1 rounds --------------------------------------------------------
 
-def _run_tier1_round(config: ExperimentConfig, graph: SocialGraph, r: int) -> dict:
+def _tier1_round(config: ExperimentConfig, graph: SocialGraph, r: int) -> dict:
     rng = stream("round", config.seed, r)
     true_costs = uniform_costs(range(graph.n), config.cost_lo, config.cost_hi, rng)
     deviators = pick_deviators(range(graph.n), config.deviation_frac, rng)
@@ -197,7 +191,7 @@ def _run_tier1_round(config: ExperimentConfig, graph: SocialGraph, r: int) -> di
 
 # --- quality rounds -------------------------------------------------------
 
-def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> dict:
+def _quality_round(config: ExperimentConfig, devices: list[int], r: int) -> dict:
     """Draw every batch on the round's streams and rank it as it comes.
 
     Deviating reviewers report the position of their favorite panel
@@ -238,7 +232,7 @@ def _run_quality_round(config: ExperimentConfig, devices: list[int], r: int) -> 
 
 # --- auction rounds -------------------------------------------------------
 
-def _run_wipd_round(config: ExperimentConfig, r: int) -> dict:
+def _wipd_round(config: ExperimentConfig, r: int) -> dict:
     rng = stream("round", config.seed, r)
     truth = additive_values(rng, config.num_bidders, config.num_tasks,
                             config.val_lo, config.val_hi)
@@ -264,7 +258,7 @@ def _run_wipd_round(config: ExperimentConfig, r: int) -> dict:
     }
 
 
-def _run_greedy_round(config: ExperimentConfig, r: int) -> dict:
+def _greedy_round(config: ExperimentConfig, r: int) -> dict:
     rng = stream("round", config.seed, r)
     requests = bundle_requests(rng, config.num_bidders, config.num_tasks,
                                config.val_lo, config.val_hi)
@@ -297,17 +291,17 @@ def run_experiment(config: ExperimentConfig) -> MechanismReport:
 
     if config.mechanism in TIER1:
         graph = load_config_graph(config)
-        play = partial(_run_tier1_round, config, graph)
+        play = partial(_tier1_round, config, graph)
     elif config.mechanism in TIER2_QUALITY:
         # Quality ranking reads no edges, so no synthetic graph is drawn.
         n = config.synthetic_n
         if config.graph_path is not None:
             n = load_edge_list(config.graph_path).n
-        play = partial(_run_quality_round, config, list(range(n)))
+        play = partial(_quality_round, config, list(range(n)))
     elif config.mechanism == "wipd":
-        play = partial(_run_wipd_round, config)
+        play = partial(_wipd_round, config)
     else:
-        play = partial(_run_greedy_round, config)
+        play = partial(_greedy_round, config)
     for r in range(1, config.rounds + 1):
         report.rounds.append({"round": r, "metrics": play(r)})
     return report

@@ -3,9 +3,9 @@ collect reviewer peak reports, and pick each batch's winner by the report
 median (or the mean, for the AVR baseline).
 
 ``draw_batches`` draws each batch on a per-batch stream chosen by the
-caller.  A run either walks those draws once, as the harness does,
-rewriting deviators' reports on the way, or replays a fixed script, such
-as the one ``plan_batches`` collects from the same draws.
+caller, as ``(eta, reviewers, panel, peaks)``.  A run ranks those draws as
+they come, or a list of ``BatchScript``s replayed in the same shape; an
+experiment round walks the draws itself, rewriting deviators' reports.
 """
 
 from __future__ import annotations
@@ -19,11 +19,22 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import ConfigError, DomainError
 
 
+def _refuse_nan(what: str, reports: Sequence[float], total: float) -> None:
+    """DomainError naming the first NaN report, looked for only when the
+    reports' ``total`` is NaN, as any NaN report makes it."""
+    if total != total:
+        for i, report in enumerate(reports):
+            if report != report:
+                raise DomainError(f"{what} of reports with a NaN report at index {i}")
+
+
 def median_of(reports: Sequence[float]) -> float:
     """Median with the mechanism's indexing: odd count takes the middle
-    order statistic, even count averages the two middle ones."""
+    order statistic, even count averages the two middle ones; a NaN report,
+    which has no place in the order, is refused."""
     if not reports:
         raise DomainError("median of empty report list")
+    _refuse_nan("median", reports, sum(reports))
     ordered = sorted(reports)
     n = len(ordered)
     if n % 2 == 1:
@@ -32,14 +43,15 @@ def median_of(reports: Sequence[float]) -> float:
 
 
 def mean_of(reports: Sequence[float]) -> float:
-    """Mean of the reports, summed left to right.  The builtin ``sum`` has
-    compensated float rounding since Python 3.12, so it would make
-    reports differ between interpreter versions."""
+    """Mean of the reports, summed left to right, refusing a NaN report.
+    The builtin ``sum`` has compensated float rounding since Python 3.12,
+    so it would make reports differ between interpreter versions."""
     if not reports:
         raise DomainError("mean of empty report list")
     total = 0
     for report in reports:
         total += report
+    _refuse_nan("mean", reports, total)
     return total / len(reports)
 
 
@@ -116,10 +128,13 @@ class BatchRecord:
 
 @dataclass
 class QualityRanking:
-    """Per-batch audit trail plus the winners in batch order."""
+    """Per-batch audit trail; ``ordered`` lists the winners in batch order."""
 
-    ordered: list[int] = field(default_factory=list)
     batches: list[BatchRecord] = field(default_factory=list)
+
+    @property
+    def ordered(self) -> list[int]:
+        return [b.winner for b in self.batches]
 
 
 def _batch_rng(seed: int, batch: int) -> random.Random:
@@ -192,25 +207,6 @@ def draw_batches(
         batch += 1
 
 
-def plan_batches(
-    devices: Iterable[int],
-    f: int,
-    g: int,
-    peak_source,
-    batch_rng: Callable[[int], random.Random],
-) -> tuple[list[BatchScript], dict[tuple[int, int], float]]:
-    """The batches of :func:`draw_batches` as replayable scripts, and the
-    reviewers' peaks keyed by (batch, reviewer)."""
-    scripts: list[BatchScript] = []
-    peaks: dict[tuple[int, int], float] = {}
-    for batch, (eta, reviewers, panel, drawn) in enumerate(
-            draw_batches(devices, f, g, peak_source, batch_rng)):
-        scripts.append(BatchScript(tuple(eta), tuple(reviewers), dict(panel)))
-        for r, alpha in zip(reviewers, drawn):
-            peaks[(batch, r)] = alpha
-    return scripts, peaks
-
-
 def _check_entry(batch: int, entry: BatchScript, population: set[int],
                  unranked: set[int]) -> None:
     """ConfigError naming the first fault of script batch ``batch``, if any."""
@@ -228,9 +224,10 @@ def _check_entry(batch: int, entry: BatchScript, population: set[int],
 
 
 def _scripted(devices: Iterable[int], f: int, g: int, peaks,
-              script: Sequence[BatchScript]) -> Iterator[tuple[list, dict]]:
-    """Each checked script batch's panel and its reports, until every
-    device is ranked."""
+              script: Sequence[BatchScript]) -> Iterator[tuple[tuple, tuple, list, list]]:
+    """Each checked script batch as :func:`draw_batches` yields a batch,
+    with the reports looked up in ``peaks`` (None where one is missing),
+    until every device is ranked."""
     if f < 1 or g < 1:
         raise ConfigError("f and g must be at least 1")
     population = set(devices)
@@ -239,46 +236,32 @@ def _scripted(devices: Iterable[int], f: int, g: int, peaks,
         if not unranked:
             return
         _check_entry(batch, entry, population, unranked)
-        yield ([(d, entry.positions[d]) for d in entry.eta],
-               {r: peaks.get((batch, r)) for r in entry.reviewers})
+        yield (entry.eta, entry.reviewers, [(d, entry.positions[d]) for d in entry.eta],
+               [peaks.get((batch, r)) for r in entry.reviewers])
         unranked.difference_update(entry.eta)
     if unranked:
         raise ConfigError(f"script ends before batch {len(script)}")
 
 
-def _drawn(devices: Iterable[int], f: int, g: int, peak_source,
-           seed: int) -> Iterator[tuple[list, dict]]:
-    """Each batch :func:`draw_batches` draws on ``seed``'s streams, as its
-    panel and its reports."""
-    for _, reviewers, panel, peaks in draw_batches(
-            devices, f, g, peak_source, lambda batch: _batch_rng(seed, batch)):
-        yield panel, dict(zip(reviewers, peaks))
-
-
-def _rank(batches: Iterable[tuple[list, dict]],
+def _rank(devices: Iterable[int], f: int, g: int, peaks, seed: int,
+          script: Sequence[BatchScript] | None,
           aggregator: Callable[[Sequence[float]], float]) -> QualityRanking:
+    if script is None:
+        batches = draw_batches(devices, f, g, peaks, lambda batch: _batch_rng(seed, batch))
+    else:
+        batches = _scripted(devices, f, g, peaks, script)
     result = QualityRanking()
-    for batch, (panel, reports) in enumerate(batches):
-        for r, a in reports.items():
+    for batch, (_, reviewers, panel, reports) in enumerate(batches):
+        for r, a in zip(reviewers, reports):
             if a is None:
                 raise DomainError(f"no scripted report for batch {batch}, reviewer {r}")
             if not 0.0 <= a <= 1.0:
                 raise DomainError(f"report {a} from reviewer {r} outside [0, 1]")
-        aggregate = aggregator(list(reports.values()))
+        aggregate = aggregator(reports)
         winner = select_quality(panel, aggregate)
-        result.ordered.append(winner)
-        result.batches.append(BatchRecord(batch, panel, reports, aggregate, winner))
+        result.batches.append(
+            BatchRecord(batch, panel, dict(zip(reviewers, reports)), aggregate, winner))
     return result
-
-
-def _run_batches(devices: Iterable[int], f: int, g: int, peaks, seed: int,
-                 aggregator: Callable[[Sequence[float]], float],
-                 script: Sequence[BatchScript] | None) -> QualityRanking:
-    if script is None:
-        batches = _drawn(devices, f, g, peaks, seed)
-    else:
-        batches = _scripted(devices, f, g, peaks, script)
-    return _rank(batches, aggregator)
 
 
 def ectai_run(
@@ -298,10 +281,9 @@ def ectai_run(
 
     Without ``script``, ``peaks`` is a peak source and the batches are
     those :func:`draw_batches` draws on ``seed``'s streams; with it,
-    ``peaks`` holds the reports keyed by (batch, reviewer), as
-    ``plan_batches`` returns them.
+    ``peaks`` holds the reports keyed by (batch, reviewer).
     """
-    return _run_batches(devices, f, g, peaks, seed, median_of, script)
+    return _rank(devices, f, g, peaks, seed, script, median_of)
 
 
 def avr_run(
@@ -313,4 +295,4 @@ def avr_run(
     script: Sequence[BatchScript] | None = None,
 ) -> QualityRanking:
     """Mean-aggregated baseline; otherwise identical to :func:`ectai_run`."""
-    return _run_batches(devices, f, g, peaks, seed, mean_of, script)
+    return _rank(devices, f, g, peaks, seed, script, mean_of)

@@ -226,6 +226,28 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["ordered"]) == 4
 
+    @pytest.mark.parametrize("command", ["ectai", "avr"])
+    def test_quality_cli_calls_the_module_attribute(self, capsys, monkeypatch, command):
+        # Span wrappers patch ``quality.ectai_run``/``quality.avr_run``, so
+        # the CLI must look the runner up on the module at call time.
+        argv = [command, "--devices", "14", "--f", "3", "--g", "4", "--seed", "5"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        run = getattr(crowdtier.quality, f"{command}_run")
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(crowdtier.quality, f"{command}_run", recorder)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        [(args, kwargs)] = calls
+        assert args[:3] == (range(14), 3, 4)
+        assert type(args[3]) is crowdtier.UniformPeaks
+        assert kwargs == {"seed": 5}
+
     def test_wipd_cli(self, capsys):
         code = main(["wipd", "--num-tasks", "3", "--bidders", "2",
                      "--val-range", "3:6", "--seed", "1"])

@@ -1,6 +1,6 @@
-"""Differential tests: a quality experiment's rounds, as ``run_experiment``
-reports them, must equal the literal re-derivation in
-``reference_harness``, and two named cases pin the deviation model's
+"""Differential tests: every mechanism's experiment rounds, as
+``run_experiment`` reports them, must equal the literal re-derivation in
+``reference_harness``, and named cases pin the quality deviation model's
 behaviour at its ends."""
 
 import pytest
@@ -18,6 +18,26 @@ def test_quality_rounds_match_reference(mechanism, dist, frac, n, f, g):
         config = ExperimentConfig(mechanism, synthetic_n=n, f=f, g=g, seed=seed, rounds=2,
                                   deviation_frac=frac, dist=dist, mu=0.4, sigma=0.25)
         assert run_experiment(config).rounds == ref.quality_rounds(config)
+
+
+@pytest.mark.parametrize("mechanism", harness.TIER1)
+@pytest.mark.parametrize("frac", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n,edge_prob,budget", [(12, 0.3, 200), (25, 0.15, 300)])
+def test_tier1_rounds_match_reference(mechanism, frac, n, edge_prob, budget):
+    for seed in (0, 7):
+        config = ExperimentConfig(mechanism, synthetic_n=n, edge_prob=edge_prob,
+                                  budget=budget, seed=seed, rounds=2, deviation_frac=frac)
+        assert run_experiment(config).rounds == ref.tier1_rounds(config)
+
+
+@pytest.mark.parametrize("mechanism", harness.TIER2_AUCTION)
+@pytest.mark.parametrize("frac", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("tasks,bidders", [(4, 3), (6, 5)])
+def test_auction_rounds_match_reference(mechanism, frac, tasks, bidders):
+    for seed in (0, 7):
+        config = ExperimentConfig(mechanism, num_tasks=tasks, num_bidders=bidders,
+                                  seed=seed, rounds=2, deviation_frac=frac)
+        assert run_experiment(config).rounds == ref.auction_rounds(config)
 
 
 @pytest.mark.parametrize("mechanism", ["ectai", "avr"])

@@ -8,6 +8,8 @@ from crowdtier import (
     DomainError,
     ExperimentConfig,
     build_graph,
+    mean_of,
+    median_of,
     nam_select,
     npm_prices,
     ntbfm,
@@ -65,3 +67,27 @@ def test_additive_valuation_refuses_negative_task_id():
     with pytest.raises(DomainError) as exc:
         AdditiveValuation({-1: 5})
     assert str(exc.value) == "negative task id -1"
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("reports, index", [
+    ([NAN, 0.5, 0.7], 0),
+    ([0.5, NAN, 0.7], 1),
+    ([0.2, 0.9, 0.4, NAN], 3),
+    ([NAN], 0),
+])
+def test_median_of_refuses_a_nan_report(reports, index):
+    # Sorting leaves a NaN wherever it started, so the median used to be a
+    # report or NaN depending on where the NaN sat.
+    with pytest.raises(DomainError) as exc:
+        median_of(reports)
+    assert str(exc.value) == f"median of reports with a NaN report at index {index}"
+
+
+@pytest.mark.parametrize("reports, index", [([NAN, 0.5], 0), ([0.5, 0.2, NAN], 2)])
+def test_mean_of_refuses_a_nan_report(reports, index):
+    with pytest.raises(DomainError) as exc:
+        mean_of(reports)
+    assert str(exc.value) == f"mean of reports with a NaN report at index {index}"

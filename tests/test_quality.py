@@ -17,7 +17,8 @@ from crowdtier import (
     select_quality,
 )
 from crowdtier import quality
-from crowdtier.quality import _batch_rng, plan_batches, reviewer_regret
+from crowdtier.quality import _batch_rng, reviewer_regret
+from reference_quality import plan_batches
 
 # Scripted replay of the worked four-batch example: twelve devices,
 # panels of three, five reviewers per batch.

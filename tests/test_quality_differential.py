@@ -1,8 +1,8 @@
-"""Differential tests: ``plan_batches`` and the ``draw_batches`` walk it
-collects, which draw reviewers by pool index and shrink one sorted
-``unranked`` list in place, must give exactly the scripts and peaks of the
-list-rebuilding reference (``reference_quality``), and ``select_quality``
-must pick what the reference's ``min`` picks."""
+"""Differential tests: ``draw_batches``, which draws reviewers by pool
+index and shrinks one sorted ``unranked`` list in place, must yield batch
+for batch exactly the scripts and peaks of the list-rebuilding reference
+planner (``reference_quality.plan_batches``), and ``select_quality`` must
+pick what the reference's ``min`` picks."""
 
 import math
 import random
@@ -12,7 +12,7 @@ import pytest
 
 import reference_quality as ref
 from crowdtier import NormalPeaks, UniformPeaks
-from crowdtier.quality import draw_batches, plan_batches, select_quality
+from crowdtier.quality import BatchScript, draw_batches, select_quality
 
 SOURCES = {"uniform": UniformPeaks(), "normal": NormalPeaks(0.4, 0.25)}
 
@@ -27,14 +27,27 @@ def sample_setsize(k):
     return setsize
 
 
-def assert_same(devices, f, g, source, tag):
+def assert_same_draws(devices, f, g, source, tag):
+    """``draw_batches`` yields, batch for batch, the eta, reviewers,
+    positions and peaks that the reference plans."""
     def batch_rng(batch):
         return random.Random(f"{tag}:{batch}")
 
-    got = plan_batches(devices, f, g, source, batch_rng)
-    want = ref.plan_batches(devices, f, g, source, batch_rng)
-    assert got == want
-    return got[0]
+    scripts, peaks = ref.plan_batches(devices, f, g, source, batch_rng)
+    drawn = list(draw_batches(devices, f, g, source, batch_rng))
+    assert len(drawn) == len(scripts)
+    for b, ((eta, reviewers, panel, alphas), script) in enumerate(zip(drawn, scripts)):
+        assert eta == list(script.eta)
+        assert reviewers == list(script.reviewers)
+        assert panel == [(d, script.positions[d]) for d in script.eta]
+        assert alphas == [peaks[(b, r)] for r in script.reviewers]
+    return drawn
+
+
+def assert_same(devices, f, g, source, tag):
+    """:func:`assert_same_draws`, returning the batches as scripts."""
+    return [BatchScript(tuple(eta), tuple(reviewers), dict(panel))
+            for eta, reviewers, panel, _ in assert_same_draws(devices, f, g, source, tag)]
 
 
 class Population(Sequence):
@@ -98,23 +111,6 @@ def test_large_population():
 
 
 # --- draw_batches, batch for batch ------------------------------------------
-
-def assert_same_draws(devices, f, g, source, tag):
-    """``draw_batches`` yields, batch for batch, the eta, reviewers,
-    positions and peaks that the reference plans."""
-    def batch_rng(batch):
-        return random.Random(f"{tag}:{batch}")
-
-    scripts, peaks = ref.plan_batches(devices, f, g, source, batch_rng)
-    drawn = list(draw_batches(devices, f, g, source, batch_rng))
-    assert len(drawn) == len(scripts)
-    for b, ((eta, reviewers, panel, alphas), script) in enumerate(zip(drawn, scripts)):
-        assert eta == list(script.eta)
-        assert reviewers == list(script.reviewers)
-        assert panel == [(d, script.positions[d]) for d in script.eta]
-        assert alphas == [peaks[(b, r)] for r in script.reviewers]
-    return drawn
-
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize("f,g", [(1, 1), (3, 3), (5, 7), (2, 9), (6, 12), (4, 22)])
