@@ -47,7 +47,6 @@ from .notifier import (
     tenm_run,
 )
 from .quality import (
-    BatchScript,
     NormalPeaks,
     QualityRanking,
     UniformPeaks,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditiveValuation",
     "AuctionOutcome",
-    "BatchScript",
     "BruteForceOracle",
     "ConfigError",
     "CrowdtierError",

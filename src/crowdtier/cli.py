@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -171,11 +172,19 @@ def _cmd_tier1(args) -> str:
     }, args.format)
 
 
+def _batch_rng(seed: int, batch: int) -> random.Random:
+    # Separate stream per batch so batch composition cannot perturb
+    # later batches' draws.
+    return random.Random((seed + 1) * 1_000_003 + batch)
+
+
 def _cmd_quality(args) -> str:
     # Looked up at call time, so a wrapper on the module attribute sees the call.
     run = quality.ectai_run if args.command == "ectai" else quality.avr_run
-    ranking = run(range(args.devices), args.f, args.g,
-                  harness.peak_source(args.dist, args.mu, args.sigma), seed=args.seed)
+    devices = range(args.devices)
+    source = harness.peak_source(args.dist, args.mu, args.sigma)
+    ranking = run(devices, quality.draw_batches(devices, args.f, args.g, source,
+                                                partial(_batch_rng, args.seed)))
     return _render({
         "mechanism": args.command,
         "ordered": ranking.ordered,

@@ -3,8 +3,8 @@ collect reviewer peak reports, and pick each batch's winner by the report
 median (or the mean, for the AVR baseline).
 
 ``draw_batches`` draws each batch on a per-batch stream chosen by the
-caller, as ``(eta, reviewers, panel, peaks)``.  A run ranks those draws as
-they come, or a list of ``BatchScript``s replayed in the same shape; an
+caller, as ``(eta, reviewers, panel, peaks)``.  ``ectai_run`` and
+``avr_run`` rank batches of that shape, drawn or written by hand; an
 experiment round walks the draws itself, rewriting deviators' reports.
 """
 
@@ -19,22 +19,23 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import ConfigError, DomainError
 
 
-def _refuse_nan(what: str, reports: Sequence[float], total: float) -> None:
-    """DomainError naming the first NaN report, looked for only when the
-    reports' ``total`` is NaN, as any NaN report makes it."""
-    if total != total:
+def _refuse_non_finite(what: str, reports: Sequence[float], total: float) -> None:
+    """DomainError naming the first NaN or infinite report, looked for only
+    when the reports' ``total`` is not finite, as any such report makes it."""
+    if not math.isfinite(total):
         for i, report in enumerate(reports):
-            if report != report:
-                raise DomainError(f"{what} of reports with a NaN report at index {i}")
+            if not math.isfinite(report):
+                kind = "a NaN" if report != report else "an infinite"
+                raise DomainError(f"{what} of reports with {kind} report at index {i}")
 
 
 def median_of(reports: Sequence[float]) -> float:
     """Median with the mechanism's indexing: odd count takes the middle
-    order statistic, even count averages the two middle ones; a NaN report,
-    which has no place in the order, is refused."""
+    order statistic, even count averages the two middle ones; a NaN or
+    infinite report, which has no place on the [0, 1] scale, is refused."""
     if not reports:
         raise DomainError("median of empty report list")
-    _refuse_nan("median", reports, sum(reports))
+    _refuse_non_finite("median", reports, sum(reports))
     ordered = sorted(reports)
     n = len(ordered)
     if n % 2 == 1:
@@ -43,15 +44,15 @@ def median_of(reports: Sequence[float]) -> float:
 
 
 def mean_of(reports: Sequence[float]) -> float:
-    """Mean of the reports, summed left to right, refusing a NaN report.
-    The builtin ``sum`` has compensated float rounding since Python 3.12,
-    so it would make reports differ between interpreter versions."""
+    """Mean of the reports, summed left to right, refusing a NaN or infinite
+    report.  The builtin ``sum`` has compensated float rounding since Python
+    3.12, so it would make reports differ between interpreter versions."""
     if not reports:
         raise DomainError("mean of empty report list")
     total = 0
     for report in reports:
         total += report
-    _refuse_nan("mean", reports, total)
+    _refuse_non_finite("mean", reports, total)
     return total / len(reports)
 
 
@@ -107,16 +108,6 @@ class NormalPeaks:
         return min(1.0, max(0.0, rng.gauss(self.mu, self.sigma)))
 
 
-@dataclass(frozen=True)
-class BatchScript:
-    """Fixed batch composition for replay fixtures: who is ranked, who
-    reviews, and where the ranked devices sit on the scale."""
-
-    eta: tuple[int, ...]
-    reviewers: tuple[int, ...]
-    positions: dict[int, float]
-
-
 @dataclass
 class BatchRecord:
     index: int
@@ -135,12 +126,6 @@ class QualityRanking:
     @property
     def ordered(self) -> list[int]:
         return [b.winner for b in self.batches]
-
-
-def _batch_rng(seed: int, batch: int) -> random.Random:
-    # Separate stream per batch so batch composition cannot perturb
-    # later batches' draws.
-    return random.Random((seed + 1) * 1_000_003 + batch)
 
 
 def draw_batches(
@@ -207,92 +192,64 @@ def draw_batches(
         batch += 1
 
 
-def _check_entry(batch: int, entry: BatchScript, population: set[int],
-                 unranked: set[int]) -> None:
-    """ConfigError naming the first fault of script batch ``batch``, if any."""
-    eta, reviewers = set(entry.eta), set(entry.reviewers)
-    listed = entry.eta + entry.reviewers
-    repeats = len(listed) > len(eta) + len(reviewers) and {d for d in listed if listed.count(d) > 1}
-    for bad, fault in ((eta - population, "ranks unknown devices"),
-                       (eta - unranked, "re-ranks devices"),
-                       (eta - entry.positions.keys(), "gives no position to devices"),
-                       (eta & reviewers, "has reviewers inside the ranked panel"),
-                       (repeats, "repeats devices"),
-                       (reviewers - population, "has unknown reviewers")):
+def _fault(batch: int, eta, reviewers, panel, population: set, unranked: set) -> ConfigError:
+    """ConfigError naming the fault that :func:`_rank` found in batch ``batch``."""
+    ranked, reviewing = set(eta), set(reviewers)
+    listed = [*eta, *reviewers]
+    for bad, fault in ((ranked - population, "ranks unknown devices"),
+                       (ranked - unranked, "re-ranks devices"),
+                       (ranked & reviewing, "has reviewers inside the ranked panel"),
+                       ({d for d in listed if listed.count(d) > 1}, "repeats devices"),
+                       (reviewing - population, "has unknown reviewers")):
         if bad:
-            raise ConfigError(f"scripted batch {batch} {fault} {sorted(bad)}")
+            return ConfigError(f"batch {batch} {fault} {sorted(bad)}")
+    if not (eta and reviewers):
+        return ConfigError(f"batch {batch} needs a ranked device and a reviewer")
+    return ConfigError(f"batch {batch} places devices {[d for d, _ in panel]} on its panel, "
+                       f"not its ranked devices {list(eta)}")
 
 
-def _scripted(devices: Iterable[int], f: int, g: int, peaks,
-              script: Sequence[BatchScript]) -> Iterator[tuple[tuple, tuple, list, list]]:
-    """Each checked script batch as :func:`draw_batches` yields a batch,
-    with the reports looked up in ``peaks`` (None where one is missing),
-    until every device is ranked."""
-    if f < 1 or g < 1:
-        raise ConfigError("f and g must be at least 1")
+def _rank(devices: Iterable[int], batches: Iterable[tuple],
+          aggregator: Callable[[Sequence[float]], float]) -> QualityRanking:
     population = set(devices)
     unranked = set(population)
-    for batch, entry in enumerate(script):
-        if not unranked:
-            return
-        _check_entry(batch, entry, population, unranked)
-        yield (entry.eta, entry.reviewers, [(d, entry.positions[d]) for d in entry.eta],
-               [peaks.get((batch, r)) for r in entry.reviewers])
-        unranked.difference_update(entry.eta)
-    if unranked:
-        raise ConfigError(f"script ends before batch {len(script)}")
-
-
-def _rank(devices: Iterable[int], f: int, g: int, peaks, seed: int,
-          script: Sequence[BatchScript] | None,
-          aggregator: Callable[[Sequence[float]], float]) -> QualityRanking:
-    if script is None:
-        batches = draw_batches(devices, f, g, peaks, lambda batch: _batch_rng(seed, batch))
-    else:
-        batches = _scripted(devices, f, g, peaks, script)
     result = QualityRanking()
-    for batch, (_, reviewers, panel, reports) in enumerate(batches):
+    for batch, (eta, reviewers, panel, reports) in enumerate(batches):
+        ranked = set(eta)
+        if not (ranked and reviewers and ranked <= unranked and population.issuperset(reviewers)
+                and len(ranked.union(reviewers)) == len(eta) + len(reviewers)
+                and len(panel) == len(eta) and {d for d, _ in panel} == ranked):
+            raise _fault(batch, eta, reviewers, panel, population, unranked)
+        if len(reports) != len(reviewers):
+            raise DomainError(f"batch {batch} has {len(reports)} reports for "
+                              f"{len(reviewers)} reviewers")
         for r, a in zip(reviewers, reports):
-            if a is None:
-                raise DomainError(f"no scripted report for batch {batch}, reviewer {r}")
             if not 0.0 <= a <= 1.0:
-                raise DomainError(f"report {a} from reviewer {r} outside [0, 1]")
+                raise DomainError(f"batch {batch}: report {a} from reviewer {r} outside [0, 1]")
+        unranked -= ranked
         aggregate = aggregator(reports)
-        winner = select_quality(panel, aggregate)
-        result.batches.append(
-            BatchRecord(batch, panel, dict(zip(reviewers, reports)), aggregate, winner))
+        result.batches.append(BatchRecord(batch, panel, dict(zip(reviewers, reports)),
+                                          aggregate, select_quality(panel, aggregate)))
+    if unranked:
+        raise ConfigError(f"batches end before batch {len(result.batches)}, "
+                          f"with {len(unranked)} devices unranked")
     return result
 
 
-def ectai_run(
-    devices: Iterable[int],
-    f: int,
-    g: int,
-    peaks,
-    seed: int = 0,
-    script: Sequence[BatchScript] | None = None,
-) -> QualityRanking:
-    """Median-aggregated quality ranking.
+def ectai_run(devices: Iterable[int], batches: Iterable[tuple]) -> QualityRanking:
+    """Median-aggregated quality ranking of ``devices``.
 
-    Batches of f unranked devices are placed on [0,1]; g reviewers drawn
-    from the rest of the population (ranked devices stay eligible) each
-    report a peak, and the device nearest the report median wins the
-    batch.  The final batch may be shorter than f.
-
-    Without ``script``, ``peaks`` is a peak source and the batches are
-    those :func:`draw_batches` draws on ``seed``'s streams; with it,
-    ``peaks`` holds the reports keyed by (batch, reviewer).
+    Each batch is an ``(eta, reviewers, panel, reports)`` tuple, as
+    :func:`draw_batches` yields one: the devices it ranks, its reviewers,
+    the ``(device, position)`` panel of the ranked devices, and the
+    reviewers' reports in order.  The panel device nearest the report
+    median wins.  Each device must be ranked by exactly one batch; a batch
+    breaking this, or with a missing report or one outside [0, 1], is
+    refused with an error naming it.
     """
-    return _rank(devices, f, g, peaks, seed, script, median_of)
+    return _rank(devices, batches, median_of)
 
 
-def avr_run(
-    devices: Iterable[int],
-    f: int,
-    g: int,
-    peaks,
-    seed: int = 0,
-    script: Sequence[BatchScript] | None = None,
-) -> QualityRanking:
+def avr_run(devices: Iterable[int], batches: Iterable[tuple]) -> QualityRanking:
     """Mean-aggregated baseline; otherwise identical to :func:`ectai_run`."""
-    return _rank(devices, f, g, peaks, seed, script, mean_of)
+    return _rank(devices, batches, mean_of)

@@ -168,31 +168,29 @@ def quality_round(config: harness.ExperimentConfig, devices: list[int], r: int) 
         source = NormalPeaks(config.mu, config.sigma)
     else:
         source = UniformPeaks()
-    scripts, peaks = reference_quality.plan_batches(
+    batches = reference_quality.plan_batches(
         devices, config.f, config.g, source,
         lambda batch: harness.stream("qbatch", config.seed, r, batch))
     aggregate_of = median if config.mechanism == "ectai" else mean
 
     ordered, regrets, deviator_regrets = [], [], []
-    for batch, script in enumerate(scripts):
-        panel = [(d, script.positions[d]) for d in script.eta]
+    for _, reviewers, panel, peaks in batches:
         reports = []
-        for reviewer in script.reviewers:
-            alpha = peaks[(batch, reviewer)]
+        for reviewer, alpha in zip(reviewers, peaks):
             if reviewer in deviators:
-                alpha = script.positions[nearest(panel, alpha)]
+                alpha = dict(panel)[nearest(panel, alpha)]
             reports.append(alpha)
         aggregate = aggregate_of(reports)
         ordered.append(nearest(panel, aggregate))
-        for reviewer in script.reviewers:
-            regret = abs(peaks[(batch, reviewer)] - aggregate)
+        for reviewer, alpha in zip(reviewers, peaks):
+            regret = abs(alpha - aggregate)
             if reviewer in deviators:
                 deviator_regrets.append(regret)
             else:
                 regrets.append(regret)
     return {
         "ordered": ordered,
-        "batches": len(scripts),
+        "batches": len(batches),
         "deviators": deviators,
         "mean_regret": mean(regrets) if regrets else 0.0,
         "mean_deviator_regret": mean(deviator_regrets) if deviator_regrets else 0.0,

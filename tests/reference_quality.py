@@ -3,7 +3,9 @@
 ``plan_batches`` is the straightforward planner the package shipped
 before it drew reviewers by index: every batch copies the population into
 a fresh ``pool`` list for ``rng.sample`` and rebuilds ``unranked``
-without the panel, O(n) per batch.  ``select_quality`` is the one-line
+without the panel, O(n) per batch.  It returns each batch as the
+``(eta, reviewers, panel, peaks)`` tuple of lists that ``draw_batches``
+yields.  ``select_quality`` is the one-line
 ``min`` the package used before its plain loop.  The differential tests
 compare the package against both.
 """
@@ -11,7 +13,6 @@ compare the package against both.
 from __future__ import annotations
 
 from crowdtier.errors import ConfigError
-from crowdtier.quality import BatchScript
 
 
 def plan_batches(devices, f, g, peak_source, batch_rng):
@@ -20,22 +21,18 @@ def plan_batches(devices, f, g, peak_source, batch_rng):
         raise ConfigError("f and g must be at least 1")
     if f + g > len(devices):
         raise ConfigError(f"f + g = {f + g} exceeds the {len(devices)} available devices")
-    scripts: list[BatchScript] = []
-    peaks: dict[tuple[int, int], float] = {}
+    batches = []
     unranked = devices
     while unranked:
-        batch = len(scripts)
-        rng = batch_rng(batch)
+        rng = batch_rng(len(batches))
         eta = sorted(rng.sample(unranked, min(f, len(unranked))))
         chosen = set(eta)
         pool = [d for d in devices if d not in chosen]
         reviewers = sorted(rng.sample(pool, g))
-        positions = {d: rng.random() for d in eta}
-        for r in reviewers:
-            peaks[(batch, r)] = peak_source.sample(rng)
-        scripts.append(BatchScript(tuple(eta), tuple(reviewers), positions))
+        panel = [(d, rng.random()) for d in eta]
+        batches.append((eta, reviewers, panel, [peak_source.sample(rng) for _ in reviewers]))
         unranked = [d for d in unranked if d not in chosen]
-    return scripts, peaks
+    return batches
 
 
 def select_quality(panel, aggregate):

@@ -42,7 +42,7 @@ from helpers import (
 )
 from reference_auction import gs_check
 from tests.test_auction import SCRIPT_8X3
-from tests.test_quality import EXAMPLE_REPORTS, EXAMPLE_SCRIPTS
+from tests.test_quality import EXAMPLE_BATCHES
 
 DATA = pathlib.Path(__file__).parent / "data"
 FACEBOOK_PATH = DATA / "facebook_combined.txt"
@@ -200,10 +200,7 @@ def test_criterion_05_median_strategyproof_avr_not():
 def test_criterion_06_ectai_example_replay():
     from crowdtier import ectai_run
 
-    ranking = ectai_run(
-        range(1, 13), 3, 5, EXAMPLE_REPORTS,
-        seed=0, script=EXAMPLE_SCRIPTS,
-    )
+    ranking = ectai_run(range(1, 13), EXAMPLE_BATCHES)
     medians = [round(b.aggregate, 2) for b in ranking.batches]
     ok = (
         ranking.ordered == [4, 3, 10, 8]

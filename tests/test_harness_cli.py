@@ -10,7 +10,7 @@ import crowdtier
 
 from crowdtier import ConfigError, ExperimentConfig, MechanismReport, run_experiment
 from crowdtier import harness
-from crowdtier.cli import _load_costs_csv, main
+from crowdtier.cli import _batch_rng, _load_costs_csv, main
 from crowdtier.harness import synthetic_graph
 from helpers import find_avr_witness, find_greedy_witness, find_ntbfm_witness
 from crowdtier import nam_select, ntbfm, psm
@@ -236,17 +236,17 @@ class TestCli:
         run = getattr(crowdtier.quality, f"{command}_run")
         calls = []
 
-        def recorder(*args, **kwargs):
-            calls.append((args, kwargs))
-            return run(*args, **kwargs)
+        def recorder(devices, batches):
+            calls.append((devices, list(batches)))
+            return run(*calls[-1])
 
         monkeypatch.setattr(crowdtier.quality, f"{command}_run", recorder)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
-        [(args, kwargs)] = calls
-        assert args[:3] == (range(14), 3, 4)
-        assert type(args[3]) is crowdtier.UniformPeaks
-        assert kwargs == {"seed": 5}
+        [(devices, batches)] = calls
+        assert devices == range(14)
+        assert batches == list(crowdtier.quality.draw_batches(
+            range(14), 3, 4, crowdtier.UniformPeaks(), lambda b: _batch_rng(5, b)))
 
     def test_wipd_cli(self, capsys):
         code = main(["wipd", "--num-tasks", "3", "--bidders", "2",

@@ -91,3 +91,40 @@ def test_mean_of_refuses_a_nan_report(reports, index):
     with pytest.raises(DomainError) as exc:
         mean_of(reports)
     assert str(exc.value) == f"mean of reports with a NaN report at index {index}"
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("reports, index", [
+    ([INF, -INF], 0),
+    ([0.5, INF], 1),
+    ([0.2, -INF, 0.4], 1),
+    ([INF], 0),
+])
+def test_median_of_refuses_an_infinite_report(reports, index):
+    # The median of [inf, -inf] used to be NaN, and of [0.5, inf] inf.
+    with pytest.raises(DomainError) as exc:
+        median_of(reports)
+    assert str(exc.value) == f"median of reports with an infinite report at index {index}"
+
+
+@pytest.mark.parametrize("reports, index", [([INF, -INF], 0), ([0.5, -INF, 0.2], 1)])
+def test_mean_of_refuses_an_infinite_report(reports, index):
+    with pytest.raises(DomainError) as exc:
+        mean_of(reports)
+    assert str(exc.value) == f"mean of reports with an infinite report at index {index}"
+
+
+@pytest.mark.parametrize("aggregate_of, what", [(median_of, "median"), (mean_of, "mean")])
+def test_first_non_finite_report_is_named_whatever_its_kind(aggregate_of, what):
+    with pytest.raises(DomainError) as exc:
+        aggregate_of([0.1, NAN, INF])
+    assert str(exc.value) == f"{what} of reports with a NaN report at index 1"
+    with pytest.raises(DomainError) as exc:
+        aggregate_of([0.1, -INF, NAN])
+    assert str(exc.value) == f"{what} of reports with an infinite report at index 1"
+
+
+def test_finite_reports_whose_sum_overflows_are_not_refused():
+    assert median_of([1e308, 1e308, 1e308]) == 1e308

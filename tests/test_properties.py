@@ -16,7 +16,10 @@ outcome is the same whether values arrive as ints, Fractions or
 integral floats.  The pay-as-bid greedy baseline
 allocates disjointly, pays each winner its bid, prices each sold task at
 its share of that bid, and rejects a request only for overlapping one
-accepted before it in ascending bid / sqrt(size) order.
+accepted before it in ascending bid / sqrt(size) order.  The quality
+rankers, given hand-written batches with at most one fault, either rank
+every device once by its batch's median or mean, or refuse the faulty
+batch by its index.
 
 Tier-1 outputs do not depend on whether a cost arrives as an int, a
 Fraction or an integral float, and a bad cost raises the same error
@@ -24,6 +27,7 @@ whatever its form and whichever tier-1 mechanism reads it.
 """
 
 import functools
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,9 +37,14 @@ from hypothesis import strategies as st
 from crowdtier import (
     AdditiveValuation,
     BruteForceOracle,
+    CrowdtierError,
     DomainError,
+    avr_run,
     build_graph,
+    ectai_run,
     greedy_baseline,
+    mean_of,
+    median_of,
     nam_select,
     npm_prices,
     ntbfm,
@@ -289,3 +298,85 @@ def test_greedy_baseline_invariants(requests):
             taken |= bundle
         else:
             assert bundle & taken, d
+
+
+UNIT = st.floats(0.0, 1.0)
+PERTURBATIONS = (None, "unknown id", "re-ranked device", "reviewer on panel", "repeated id",
+                 "missing report", "report outside [0, 1]", "dropped last batch")
+
+
+@st.composite
+def quality_batches(draw):
+    """(devices, batches, perturbation, faulty batch): a valid hand-written
+    batch list over 2 to 12 devices with at most one perturbation applied,
+    and the index of the batch it made faulty (None when there is none)."""
+    devices = draw(st.lists(st.integers(0, 40), min_size=2, max_size=12, unique=True))
+    order = draw(st.permutations(devices))
+    f = draw(st.integers(1, len(devices) - 1))
+    batches = []
+    for start in range(0, len(order), f):
+        eta = order[start:start + f]
+        others = [d for d in devices if d not in eta]
+        reviewers = draw(st.lists(st.sampled_from(others), min_size=1, max_size=5, unique=True))
+        batches.append((eta, reviewers, [(d, draw(UNIT)) for d in eta],
+                        [draw(UNIT) for _ in reviewers]))
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    if kind is None:
+        return devices, batches, kind, None
+    b = draw(st.integers(0, len(batches) - 1))
+    eta, reviewers, panel, reports = (list(part) for part in batches[b])
+    if kind == "unknown id":
+        stranger = max(devices) + 1
+        if draw(st.booleans()):
+            eta.append(stranger)
+            panel.append((stranger, draw(UNIT)))
+        else:
+            reviewers.append(stranger)
+            reports.append(draw(UNIT))
+    elif kind == "re-ranked device":
+        # A batch appended after the one that ranked the device.
+        d = draw(st.sampled_from(eta))
+        batches.append(([d], reviewers, [(d, draw(UNIT))], reports))
+        return devices, batches, kind, len(batches) - 1
+    elif kind == "reviewer on panel":
+        reviewers.append(draw(st.sampled_from(eta)))
+        reports.append(draw(UNIT))
+    elif kind == "repeated id":
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(eta) - 1))
+            eta.append(eta[i])
+            panel.append(panel[i])
+        else:
+            i = draw(st.integers(0, len(reviewers) - 1))
+            reviewers.append(reviewers[i])
+            reports.append(reports[i])
+    elif kind == "missing report":
+        del reports[draw(st.integers(0, len(reports) - 1))]
+    elif kind == "report outside [0, 1]":
+        outside = st.floats(allow_nan=True).filter(lambda a: not 0.0 <= a <= 1.0)
+        reports[draw(st.integers(0, len(reports) - 1))] = draw(outside)
+    else:
+        return devices, batches[:-1], kind, len(batches) - 1
+    batches[b] = (eta, reviewers, panel, reports)
+    return devices, batches, kind, b
+
+
+@PROPERTIES
+@given(quality_batches(), st.sampled_from([(ectai_run, median_of), (avr_run, mean_of)]))
+def test_quality_rankers_rank_valid_batches_and_name_a_faulty_one(instance, ranker):
+    devices, batches, kind, faulty = instance
+    run, aggregate_of = ranker
+    try:
+        ranking = run(devices, batches)
+    except CrowdtierError as exc:
+        assert kind is not None, exc
+        assert re.search(rf"\bbatch {faulty}\b", str(exc)), (kind, exc)
+        return
+    assert kind is None
+    ranked = [d for record in ranking.batches for d, _ in record.panel]
+    assert sorted(ranked) == sorted(devices)
+    for record, (_, reviewers, panel, reports) in zip(ranking.batches, batches, strict=True):
+        assert record.panel == panel
+        assert record.winner in {d for d, _ in panel}
+        assert record.aggregate == aggregate_of(reports)
+        assert record.reports == dict(zip(reviewers, reports))

@@ -1,11 +1,11 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from crowdtier import (
-    BatchScript,
     ConfigError,
     DomainError,
     NormalPeaks,
@@ -17,26 +17,27 @@ from crowdtier import (
     select_quality,
 )
 from crowdtier import quality
-from crowdtier.quality import _batch_rng, reviewer_regret
+from crowdtier.cli import _batch_rng
+from crowdtier.quality import reviewer_regret
 from reference_quality import plan_batches
 
-# Scripted replay of the worked four-batch example: twelve devices,
-# panels of three, five reviewers per batch.
-EXAMPLE_SCRIPTS = [
-    BatchScript((2, 4, 9), (1, 3, 7, 8, 11), {2: 0.34, 4: 0.52, 9: 0.65}),
-    BatchScript((1, 3, 7), (2, 4, 6, 8, 11), {1: 0.10, 3: 0.47, 7: 0.80}),
-    BatchScript((6, 10, 12), (2, 7, 9, 5, 11), {6: 0.05, 10: 0.44, 12: 0.90}),
-    BatchScript((5, 8, 11), (1, 2, 7, 9, 10), {8: 0.33, 5: 0.70, 11: 0.95}),
+# The worked four-batch example: twelve devices, panels of three, five
+# reviewers per batch, each batch as (eta, reviewers, panel, reports).
+EXAMPLE_BATCHES = [
+    ((2, 4, 9), (1, 3, 7, 8, 11), [(2, 0.34), (4, 0.52), (9, 0.65)],
+     (0.37, 0.34, 0.50, 0.58, 0.65)),
+    ((1, 3, 7), (2, 4, 6, 8, 11), [(1, 0.10), (3, 0.47), (7, 0.80)],
+     (0.2, 0.45, 0.50, 0.55, 0.9)),
+    ((6, 10, 12), (2, 7, 9, 5, 11), [(6, 0.05), (10, 0.44), (12, 0.90)],
+     (0.1, 0.3, 0.45, 0.6, 0.7)),
+    ((5, 8, 11), (1, 2, 7, 9, 10), [(5, 0.70), (8, 0.33), (11, 0.95)],
+     (0.2, 0.3, 0.35, 0.5, 0.6)),
 ]
-EXAMPLE_REPORTS = {}
-for _b, _revs, _vals in [
-    (0, (1, 3, 7, 8, 11), (0.37, 0.34, 0.50, 0.58, 0.65)),
-    (1, (2, 4, 6, 8, 11), (0.2, 0.45, 0.50, 0.55, 0.9)),
-    (2, (2, 7, 9, 5, 11), (0.1, 0.3, 0.45, 0.6, 0.7)),
-    (3, (1, 2, 7, 9, 10), (0.2, 0.3, 0.35, 0.5, 0.6)),
-]:
-    for _r, _v in zip(_revs, _vals):
-        EXAMPLE_REPORTS[(_b, _r)] = _v
+
+
+def drawn(n, f, g, source, seed):
+    """The batches ``crowdtier ectai --devices n --seed seed`` ranks."""
+    return quality.draw_batches(range(n), f, g, source, partial(_batch_rng, seed))
 
 
 class TestAggregates:
@@ -95,69 +96,61 @@ class TestSelectQuality:
 
 class TestScriptedReplay:
     def test_example_batch_winners(self):
-        ranking = ectai_run(
-            range(1, 13), 3, 5, EXAMPLE_REPORTS,
-            seed=0, script=EXAMPLE_SCRIPTS,
-        )
+        ranking = ectai_run(range(1, 13), EXAMPLE_BATCHES)
         assert ranking.ordered == [4, 3, 10, 8]
         assert [b.aggregate for b in ranking.batches] == pytest.approx(
             [0.50, 0.50, 0.45, 0.35]
         )
 
     def test_replay_partition(self):
-        ranking = ectai_run(
-            range(1, 13), 3, 5, EXAMPLE_REPORTS,
-            seed=0, script=EXAMPLE_SCRIPTS,
-        )
+        ranking = ectai_run(range(1, 13), EXAMPLE_BATCHES)
         ranked = [d for b in ranking.batches for d, _ in b.panel]
         assert sorted(ranked) == list(range(1, 13))
 
-    def test_scripted_replay_seeds_no_stream(self, monkeypatch):
-        def refuse(seed, batch):
-            raise AssertionError("a scripted replay seeded a batch stream")
-
-        monkeypatch.setattr(quality, "_batch_rng", refuse)
-        ranking = ectai_run(
-            range(1, 13), 3, 5, EXAMPLE_REPORTS,
-            seed=0, script=EXAMPLE_SCRIPTS,
-        )
-        assert ranking.ordered == [4, 3, 10, 8]
-
     def test_script_reranking_rejected(self):
-        bad = [EXAMPLE_SCRIPTS[0], EXAMPLE_SCRIPTS[0]]
+        bad = [EXAMPLE_BATCHES[0], EXAMPLE_BATCHES[0]]
         with pytest.raises(ConfigError):
-            ectai_run(range(1, 13), 3, 5, EXAMPLE_REPORTS,
-                      script=bad)
+            ectai_run(range(1, 13), bad)
 
     def test_reviewer_in_panel_rejected(self):
-        bad = [BatchScript((1, 2), (2, 3), {1: 0.1, 2: 0.2})]
+        bad = [((1, 2), (2, 3), [(1, 0.1), (2, 0.2)], (0.5, 0.5))]
         with pytest.raises(ConfigError):
-            ectai_run(range(1, 3), 2, 2, {}, script=bad)
+            ectai_run(range(1, 3), bad)
 
     def test_missing_scripted_report_rejected(self):
+        unreported = [(eta, reviewers, panel, ()) for eta, reviewers, panel, _ in EXAMPLE_BATCHES]
         with pytest.raises(DomainError):
-            ectai_run(range(1, 13), 3, 5, {},
-                      script=EXAMPLE_SCRIPTS)
+            ectai_run(range(1, 13), unreported)
 
-    def test_missing_scripted_report_names_batch_and_reviewer(self):
-        scripts = [BatchScript((0,), (1,), {0: 0.5})]
-        with pytest.raises(DomainError) as exc:
-            ectai_run(range(2), 1, 1, {(0, 0): 0.5}, script=scripts)
-        assert str(exc.value) == "no scripted report for batch 0, reviewer 1"
-
-    @pytest.mark.parametrize("script, message", [
-        ([BatchScript((0,), (1,), {})], "scripted batch 0 gives no position to devices [0]"),
-        ([BatchScript((9,), (1,), {9: 0.5})], "scripted batch 0 ranks unknown devices [9]"),
-        ([BatchScript((0,), (9,), {0: 0.5})], "scripted batch 0 has unknown reviewers [9]"),
-        ([BatchScript((0,), (1,), {0: 0.5})] * 2, "scripted batch 1 re-ranks devices [0]"),
-        ([BatchScript((0,), (0,), {0: 0.5})],
-         "scripted batch 0 has reviewers inside the ranked panel [0]"),
-        ([BatchScript((0,), (1, 1), {0: 0.5})], "scripted batch 0 repeats devices [1]"),
-        ([BatchScript((0, 0), (1,), {0: 0.5})], "scripted batch 0 repeats devices [0]"),
+    @pytest.mark.parametrize("reports, message", [
+        ((), "batch 0 has 0 reports for 1 reviewers"),
+        ((0.5, 0.5), "batch 0 has 2 reports for 1 reviewers"),
     ])
-    def test_malformed_script_is_config_error(self, script, message):
+    def test_report_count_differing_from_reviewers_names_the_batch(self, reports, message):
+        with pytest.raises(DomainError) as exc:
+            ectai_run(range(2), [((0,), (1,), [(0, 0.5)], reports)])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("batches, message", [
+        ([((0,), (1,), [], (0.5,))],
+         "batch 0 places devices [] on its panel, not its ranked devices [0]"),
+        ([((0,), (1,), [(1, 0.5)], (0.5,))],
+         "batch 0 places devices [1] on its panel, not its ranked devices [0]"),
+        ([((9,), (1,), [(9, 0.5)], (0.5,))], "batch 0 ranks unknown devices [9]"),
+        ([((0,), (9,), [(0, 0.5)], (0.5,))], "batch 0 has unknown reviewers [9]"),
+        ([((0,), (1,), [(0, 0.5)], (0.5,))] * 2, "batch 1 re-ranks devices [0]"),
+        ([((0,), (0,), [(0, 0.5)], (0.5,))],
+         "batch 0 has reviewers inside the ranked panel [0]"),
+        ([((0,), (1, 1), [(0, 0.5)], (0.5, 0.5))], "batch 0 repeats devices [1]"),
+        ([((0, 0), (1,), [(0, 0.5), (0, 0.5)], (0.5,))], "batch 0 repeats devices [0]"),
+        ([((), (1,), [], (0.5,))], "batch 0 needs a ranked device and a reviewer"),
+        ([((0,), (), [(0, 0.5)], ())], "batch 0 needs a ranked device and a reviewer"),
+        ([], "batches end before batch 0, with 2 devices unranked"),
+        ([((0,), (1,), [(0, 0.5)], (0.5,))], "batches end before batch 1, with 1 devices unranked"),
+    ])
+    def test_malformed_script_is_config_error(self, batches, message):
         with pytest.raises(ConfigError) as exc:
-            ectai_run(range(2), 1, 1, {(0, 1): 0.5, (0, 9): 0.5}, script=script)
+            ectai_run(range(2), batches)
         assert str(exc.value) == message
 
 
@@ -165,69 +158,67 @@ class TestPlanBatches:
     @pytest.mark.parametrize("n,f,g", [(12, 3, 3), (20, 3, 4), (7, 5, 2), (30, 4, 9)])
     def test_every_device_ranked_once_and_reviewers_outside_panel(self, n, f, g):
         devices = range(100, 100 + n)
-        scripts, peaks = plan_batches(devices, f, g, UniformPeaks(),
-                                      lambda b: random.Random(f"plan:{b}"))
-        ranked = [d for entry in scripts for d in entry.eta]
+        batches = list(quality.draw_batches(devices, f, g, UniformPeaks(),
+                                            lambda b: random.Random(f"plan:{b}")))
+        ranked = [d for eta, _, _, _ in batches for d in eta]
         assert sorted(ranked) == list(devices)
-        for b, entry in enumerate(scripts):
-            assert len(entry.reviewers) == g
-            assert not set(entry.reviewers) & set(entry.eta)
-            assert set(entry.positions) == set(entry.eta)
-            assert {r for bb, r in peaks if bb == b} == set(entry.reviewers)
+        for eta, reviewers, panel, peaks in batches:
+            assert len(reviewers) == g
+            assert not set(reviewers) & set(eta)
+            assert [d for d, _ in panel] == eta
+            assert len(peaks) == len(reviewers)
 
     def test_replay_of_plan_matches_unscripted_run(self):
-        scripts, peaks = plan_batches(range(20), 3, 4, NormalPeaks(),
-                                      lambda b: _batch_rng(5, b))
-        replayed = ectai_run(range(20), 3, 4, peaks, script=scripts)
-        direct = ectai_run(range(20), 3, 4, NormalPeaks(), seed=5)
+        batches = plan_batches(range(20), 3, 4, NormalPeaks(), lambda b: _batch_rng(5, b))
+        replayed = ectai_run(range(20), batches)
+        direct = ectai_run(range(20), drawn(20, 3, 4, NormalPeaks(), 5))
         assert replayed == direct
 
     def test_avr_replay_of_plan_matches_unscripted_run(self):
-        scripts, reports = plan_batches(range(20), 3, 4, UniformPeaks(),
-                                        lambda b: _batch_rng(3, b))
-        replayed = avr_run(range(20), 3, 4, reports, script=scripts)
-        assert replayed == avr_run(range(20), 3, 4, UniformPeaks(), seed=3)
+        batches = plan_batches(range(20), 3, 4, UniformPeaks(), lambda b: _batch_rng(3, b))
+        replayed = avr_run(range(20), batches)
+        assert replayed == avr_run(range(20), drawn(20, 3, 4, UniformPeaks(), 3))
 
     def test_peak_source_needs_only_sample_rng(self):
         class Fixed:
             def sample(self, rng):
                 return 0.25
 
-        scripts, reports = plan_batches(range(10), 2, 3, Fixed(), random.Random)
-        assert set(reports.values()) == {0.25}
-        ranking = ectai_run(range(10), 2, 3, Fixed(), seed=1)
+        batches = list(quality.draw_batches(range(10), 2, 3, Fixed(), random.Random))
+        assert {peak for _, _, _, peaks in batches for peak in peaks} == {0.25}
+        ranking = ectai_run(range(10), drawn(10, 2, 3, Fixed(), 1))
         assert [b.aggregate for b in ranking.batches] == [0.25] * 5
 
     def test_f_plus_g_beyond_population_rejected(self):
         with pytest.raises(ConfigError) as exc:
-            plan_batches(range(5), 3, 3, UniformPeaks(), random.Random)
+            list(quality.draw_batches(range(5), 3, 3, UniformPeaks(), random.Random))
         assert str(exc.value) == "f + g = 6 exceeds the 5 available devices"
 
 
 class TestGeneratedRuns:
     def test_partition_and_batch_sizes(self):
-        ranking = ectai_run(range(20), 3, 4, UniformPeaks(), seed=9)
+        ranking = ectai_run(range(20), drawn(20, 3, 4, UniformPeaks(), 9))
         ranked = [d for b in ranking.batches for d, _ in b.panel]
         assert sorted(ranked) == list(range(20))
         sizes = [len(b.panel) for b in ranking.batches]
         assert all(s == 3 for s in sizes[:-1]) and sizes[-1] <= 3
 
     def test_each_batch_one_winner_from_panel(self):
-        ranking = ectai_run(range(15), 4, 3, UniformPeaks(), seed=2)
+        ranking = ectai_run(range(15), drawn(15, 4, 3, UniformPeaks(), 2))
         for b in ranking.batches:
             assert b.winner in {d for d, _ in b.panel}
             assert 0.0 <= b.aggregate <= 1.0
 
     def test_deterministic_given_seed(self):
-        a = ectai_run(range(18), 3, 4, NormalPeaks(), seed=11)
-        b = ectai_run(range(18), 3, 4, NormalPeaks(), seed=11)
+        a = ectai_run(range(18), drawn(18, 3, 4, NormalPeaks(), 11))
+        b = ectai_run(range(18), drawn(18, 3, 4, NormalPeaks(), 11))
         assert a == b
-        c = ectai_run(range(18), 3, 4, NormalPeaks(), seed=12)
+        c = ectai_run(range(18), drawn(18, 3, 4, NormalPeaks(), 12))
         assert a.ordered != c.ordered or a != c
 
     def test_avr_differs_only_in_aggregate(self):
-        med = ectai_run(range(12), 3, 3, UniformPeaks(), seed=4)
-        avg = avr_run(range(12), 3, 3, UniformPeaks(), seed=4)
+        med = ectai_run(range(12), drawn(12, 3, 3, UniformPeaks(), 4))
+        avg = avr_run(range(12), drawn(12, 3, 3, UniformPeaks(), 4))
         for mb, ab in zip(med.batches, avg.batches):
             assert mb.panel == ab.panel
             assert mb.reports == ab.reports
@@ -237,7 +228,7 @@ class TestGeneratedRuns:
 
     def test_f_plus_g_too_large(self):
         with pytest.raises(ConfigError):
-            ectai_run(range(5), 3, 3, UniformPeaks())
+            ectai_run(range(5), drawn(5, 3, 3, UniformPeaks(), 0))
 
     def test_normal_peaks_clamped(self):
         src = NormalPeaks(mu=0.5, sigma=5.0)
@@ -254,10 +245,9 @@ class TestGeneratedRuns:
             NormalPeaks(mu, sigma)
 
     def test_report_outside_unit_interval_rejected(self):
-        scripts = [BatchScript((0,), (1,), {0: 0.5})]
-        with pytest.raises(DomainError):
-            ectai_run(range(2), 1, 1, {(0, 1): 1.5},
-                      script=scripts)
+        with pytest.raises(DomainError) as exc:
+            ectai_run(range(2), [((0,), (1,), [(0, 0.5)], (1.5,))])
+        assert str(exc.value) == "batch 0: report 1.5 from reviewer 1 outside [0, 1]"
 
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=300)
@@ -328,13 +318,12 @@ class TestDrawBatches:
         def batch_rng(b):
             return random.Random(f"draw:{b}")
 
-        scripts, peaks = plan_batches(range(11), 3, 4, NormalPeaks(), batch_rng)
-        drawn = list(quality.draw_batches(range(11), 3, 4, NormalPeaks(), batch_rng))
-        assert [len(eta) for eta, _, _, _ in drawn] == [3, 3, 3, 2]
-        for b, (eta, reviewers, panel, alphas) in enumerate(drawn):
-            assert (tuple(eta), tuple(reviewers), dict(panel)) == (
-                scripts[b].eta, scripts[b].reviewers, scripts[b].positions)
-            assert alphas == [peaks[(b, r)] for r in reviewers]
+        planned = plan_batches(range(11), 3, 4, NormalPeaks(), batch_rng)
+        batches = list(quality.draw_batches(range(11), 3, 4, NormalPeaks(), batch_rng))
+        assert [len(eta) for eta, _, _, _ in batches] == [3, 3, 3, 2]
+        # The reference builds each batch from lists, so this also checks
+        # that the draws come as lists.
+        assert batches == planned
 
     def test_already_ranked_device_names_the_batch(self):
         with pytest.raises(ConfigError) as exc:
@@ -369,5 +358,5 @@ class TestDrawBatches:
                 return 1.5
 
         with pytest.raises(DomainError) as exc:
-            avr_run(range(10), 2, 3, Above(), seed=1)
+            avr_run(range(10), drawn(10, 2, 3, Above(), 1))
         assert str(exc.value).endswith("outside [0, 1]")

@@ -1,7 +1,7 @@
 """Differential tests: ``draw_batches``, which draws reviewers by pool
 index and shrinks one sorted ``unranked`` list in place, must yield batch
-for batch exactly the scripts and peaks of the list-rebuilding reference
-planner (``reference_quality.plan_batches``), and ``select_quality`` must
+for batch exactly the batches of the list-rebuilding reference planner
+(``reference_quality.plan_batches``), and ``select_quality`` must
 pick what the reference's ``min`` picks."""
 
 import math
@@ -12,7 +12,7 @@ import pytest
 
 import reference_quality as ref
 from crowdtier import NormalPeaks, UniformPeaks
-from crowdtier.quality import BatchScript, draw_batches, select_quality
+from crowdtier.quality import draw_batches, select_quality
 
 SOURCES = {"uniform": UniformPeaks(), "normal": NormalPeaks(0.4, 0.25)}
 
@@ -27,27 +27,18 @@ def sample_setsize(k):
     return setsize
 
 
-def assert_same_draws(devices, f, g, source, tag):
-    """``draw_batches`` yields, batch for batch, the eta, reviewers,
-    positions and peaks that the reference plans."""
+def assert_same(devices, f, g, source, tag):
+    """``draw_batches`` yields, batch for batch, the eta, reviewers, panel
+    and peaks that the reference plans; returns the batches."""
     def batch_rng(batch):
         return random.Random(f"{tag}:{batch}")
 
-    scripts, peaks = ref.plan_batches(devices, f, g, source, batch_rng)
+    planned = ref.plan_batches(devices, f, g, source, batch_rng)
     drawn = list(draw_batches(devices, f, g, source, batch_rng))
-    assert len(drawn) == len(scripts)
-    for b, ((eta, reviewers, panel, alphas), script) in enumerate(zip(drawn, scripts)):
-        assert eta == list(script.eta)
-        assert reviewers == list(script.reviewers)
-        assert panel == [(d, script.positions[d]) for d in script.eta]
-        assert alphas == [peaks[(b, r)] for r in script.reviewers]
+    assert len(drawn) == len(planned)
+    for b, (batch, want) in enumerate(zip(drawn, planned)):
+        assert batch == want, f"batch {b}"
     return drawn
-
-
-def assert_same(devices, f, g, source, tag):
-    """:func:`assert_same_draws`, returning the batches as scripts."""
-    return [BatchScript(tuple(eta), tuple(reviewers), dict(panel))
-            for eta, reviewers, panel, _ in assert_same_draws(devices, f, g, source, tag)]
 
 
 class Population(Sequence):
@@ -86,8 +77,8 @@ def test_contiguous_ids_across_sample_branches(source, f, g):
     sizes = sorted({*range(f + g, f + g + 12), *range(edge - 4, edge + 5), 150, 300, 1001})
     branches = set()
     for n in sizes:
-        scripts = assert_same(range(n), f, g, SOURCES[source], f"c:{n}:{f}:{g}")
-        branches.update(n - len(s.eta) <= sample_setsize(g) for s in scripts)
+        batches = assert_same(range(n), f, g, SOURCES[source], f"c:{n}:{f}:{g}")
+        branches.update(n - len(eta) <= sample_setsize(g) for eta, _, _, _ in batches)
     assert branches == {True, False}
 
 
@@ -100,14 +91,14 @@ def test_sparse_and_duplicate_ids(source):
         devices = rng.sample(range(-50, 20 * n), n)
         devices += rng.choices(devices, k=rng.randint(0, 6))
         rng.shuffle(devices)
-        scripts = assert_same(devices, f, g, SOURCES[source], f"s:{t}")
+        batches = assert_same(devices, f, g, SOURCES[source], f"s:{t}")
         if n % f:
-            assert len(scripts[-1].eta) == n % f
+            assert len(batches[-1][0]) == n % f
 
 
 def test_large_population():
-    scripts = assert_same(range(7, 7 + 3 * 2997, 3), 5, 7, UniformPeaks(), "large")
-    assert len(scripts) == 600
+    batches = assert_same(range(7, 7 + 3 * 2997, 3), 5, 7, UniformPeaks(), "large")
+    assert len(batches) == 600
 
 
 # --- draw_batches, batch for batch ------------------------------------------
@@ -119,7 +110,7 @@ def test_draw_batches_matches_reference_across_sample_branches(source, f, g):
     sizes = sorted({*range(f + g, f + g + 6), *range(edge - 3, edge + 4), 150, 400})
     branches = set()
     for n in sizes:
-        drawn = assert_same_draws(range(n), f, g, SOURCES[source], f"d:{n}:{f}:{g}")
+        drawn = assert_same(range(n), f, g, SOURCES[source], f"d:{n}:{f}:{g}")
         branches.update(n - len(eta) <= sample_setsize(g) for eta, _, _, _ in drawn)
     assert branches == {True, False}
 
@@ -133,12 +124,12 @@ def test_draw_batches_sparse_and_duplicate_ids(source):
         devices = rng.sample(range(-50, 20 * n), n)
         devices += rng.choices(devices, k=rng.randint(0, 6))
         rng.shuffle(devices)
-        drawn = assert_same_draws(devices, f, g, SOURCES[source], f"ds:{t}")
+        drawn = assert_same(devices, f, g, SOURCES[source], f"ds:{t}")
         assert sorted(d for eta, _, _, _ in drawn for d in eta) == sorted(set(devices))
 
 
 def test_draw_batches_at_benchmark_size():
-    drawn = assert_same_draws(range(2500), 5, 7, UniformPeaks(), "bench")
+    drawn = assert_same(range(2500), 5, 7, UniformPeaks(), "bench")
     assert len(drawn) == 500
 
 
