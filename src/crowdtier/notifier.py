@@ -19,8 +19,8 @@ marginal is unchanged is the true argmax, and a stale top is re-keyed in
 place.  Every key is unique, so the resulting order is the argmax
 sequence with ties to the lowest id, whatever the heap's layout;
 :func:`npm_prices` and :func:`tenm_run` rely on that to share one
-forward pass among all of their payment reruns.  Each greedy pass,
-forward or rerun, is one generator that also applies the admission rule.
+forward pass among all of their payment reruns.  :func:`_celf_step` is
+that step; the forward pass is a generator over it, each rerun a loop.
 
 The baselines share that scale and its validator.  NTBFM's static order
 is the sorted initial heap keys, and its budget scan keeps one integer
@@ -35,13 +35,11 @@ they are built: such a number could not be printed in a report.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from heapq import heapify, heappop, heapreplace
 from typing import Iterable, Mapping
 
 from .errors import ConfigError, DomainError, InvariantError
@@ -52,6 +50,7 @@ Numeric = int | float | Fraction
 # The interpreter's int-to-str digit limit, read at call time; Pythons
 # before 3.10.7 have none, which reads as 0.
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_NO_COST = object()  # what ``costs.get`` returns for a node without a cost
 
 
 def as_fraction(x: Numeric) -> Fraction:
@@ -83,7 +82,7 @@ def as_fraction(x: Numeric) -> Fraction:
 def positive_budget(budget: Numeric) -> Fraction:
     """The budget as an exact rational; ConfigError unless it is positive."""
     budget = as_fraction(budget)
-    if budget <= 0:
+    if budget.numerator <= 0:
         raise ConfigError("budget must be positive")
     return budget
 
@@ -107,27 +106,30 @@ class NotifierOutcome:
         return sum(self.payments.values(), Fraction(0))
 
     def check(self, costs: Mapping[int, Numeric] | None = None) -> None:
-        """Raise InvariantError on budget or rationality violations."""
-        if len(set(self.selected)) != len(self.selected):
+        """Raise InvariantError on budget or rationality violations.  The
+        checks run on integers; only an error text builds a ``Fraction``."""
+        chosen = set(self.selected)
+        if len(chosen) != len(self.selected):
             raise InvariantError("selected list contains duplicates")
-        if set(self.payments) != set(self.selected):
+        if self.payments.keys() != chosen:
             raise InvariantError("payments not defined exactly on selected")
-        if self.total_payment > self.budget:
-            raise InvariantError(
-                f"total payment {self.total_payment} exceeds budget {self.budget}"
-            )
+        pays = self.payments.values()
+        den = math.lcm(*[p.denominator for p in pays])
+        total = sum(p.numerator * (den // p.denominator) for p in pays)
+        if total * self.budget.denominator > self.budget.numerator * den:
+            raise InvariantError(f"total payment {self.total_payment} exceeds budget {self.budget}")
         if costs is not None:
             for i in self.selected:
-                if self.payments[i] < as_fraction(costs[i]):
-                    raise InvariantError(
-                        f"winner {i} paid {self.payments[i]} below reported cost {costs[i]}"
-                    )
+                pay, cost = self.payments[i], costs[i]
+                if (pay.numerator < cost * pay.denominator if type(cost) is int
+                        else pay < as_fraction(cost)):
+                    raise InvariantError(f"winner {i} paid {pay} below reported cost {cost}")
 
 
 def notifier_utility(true_cost: Numeric, payment: Numeric, selected: bool) -> Fraction:
     """Quasilinear notifier utility: payment minus true cost when selected."""
     payment = as_fraction(payment)
-    if payment < 0:
+    if payment.numerator < 0:
         raise DomainError("payment must be non-negative")
     if not selected:
         return Fraction(0)
@@ -136,12 +138,15 @@ def notifier_utility(true_cost: Numeric, payment: Numeric, selected: bool) -> Fr
 
 def _cost_map(ids: Iterable, costs: Mapping[int, Numeric]) -> list[int | Fraction]:
     """The validated cost of each id in ``ids``, in that order: an ``int``
-    cost stays an ``int``, any other goes through :func:`as_fraction`."""
+    cost stays an ``int``, any other goes through :func:`as_fraction`.
+    Each cost is read once, with ``get``, which adds no key to a mapping
+    with defaults, as indexing a ``defaultdict`` would."""
     out = []
     for i in ids:
-        if i not in costs:
+        if (c := costs.get(i, _NO_COST)) is _NO_COST:
             raise DomainError(f"no cost for node {i}")
-        c = costs[i] if type(costs[i]) is int else as_fraction(costs[i])
+        if type(c) is not int:
+            c = as_fraction(c)
         if c <= 0:
             raise DomainError(f"cost of node {i} must be positive, got {costs[i]}")
         out.append(c)
@@ -150,8 +155,11 @@ def _cost_map(ids: Iterable, costs: Mapping[int, Numeric]) -> list[int | Fractio
 
 def _scaled_costs(ids: Iterable, costs: Mapping[int, Numeric]) -> tuple[list[int], int]:
     """Validated costs of ``ids`` as integers ``C_i = c_i * D``, with ``D``
-    the lcm of the cost denominators, and ``D`` itself."""
+    the lcm of the cost denominators, and ``D`` itself.  All-``int`` costs
+    are returned as validated, with ``D = 1``."""
     cost = _cost_map(ids, costs)
+    if set(map(type, cost)) <= {int}:
+        return cost, 1
     scale = math.lcm(*{c.denominator for c in cost})
     return [c.numerator * (scale // c.denominator) for c in cost], scale
 
@@ -167,108 +175,100 @@ def _graph_costs(graph: SocialGraph, costs: Mapping[int, Numeric]) -> tuple[list
 
 
 def _greedy_heap(masks: tuple[int, ...], scaled: list[int]):
-    """Shifted heap weights, the id mask, and the initial lazy heap.
+    """Shifted heap weights, the id mask ``ids``, and the initial lazy heap.
 
-    With ``L = lcm(C)``, ``w_i = L // C_i`` and ``s`` bits for a node id,
-    node i with marginal m is the single int ``i - m * (w_i << s)``.
-    ``m * w_i = m * L / C_i`` orders exactly as the ratio m / c_i, and
-    two distinct values of ``m * (w_i << s)`` differ by a multiple of
-    ``2**s``, which exceeds every id, so the smallest key takes the
-    largest ratio with ties to the lowest id; ``key & ids`` decodes the
-    node.
+    Node i with marginal m is keyed ``i - m * (w_i << s)`` (module
+    docstring): two distinct values of ``m * (w_i << s)`` differ by a
+    multiple of ``2**s``, which exceeds every id, so ``key & ids`` is i.
     """
     top = math.lcm(*set(scaled))
     shift = max(len(masks) - 1, 1).bit_length()
     weights = [(top // c) << shift for c in scaled]
     heap = [i - mask.bit_count() * w for i, (mask, w) in enumerate(zip(masks, weights))]
-    heapq.heapify(heap)
+    heapify(heap)
     return weights, (1 << shift) - 1, heap
 
 
-def _admission(share: Fraction, scaled: list[int], scale: int):
-    """The test ``c_i <= share * m / (h + m)`` of ``(i, m, h)``, as
-    ``C_i * (h + m) * den <= num * D * m``; a zero marginal fails."""
-    num, den = share.numerator * scale, share.denominator
+def _admission(budget: Fraction, delta: Numeric, scaled: list[int], scale: int):
+    """The test ``c_i <= (B / delta) * m / (h + m)`` of ``(i, m, h)``, as
+    ``C_i * (h + m) * den <= num * D * m`` for the integer pair
+    (num, den) = (B.num * delta.den, B.den * delta.num); a zero m fails."""
+    num = budget.numerator * delta.denominator * scale
+    den = budget.denominator * delta.numerator
     return lambda i, m, h: m and scaled[i] * (h + m) * den <= num * m
 
 
-def _greedy_pass(masks, weights, ids, admits, heap, covered=0, value=0):
-    """Lazy (CELF) marginal-per-cost greedy over the nodes in ``heap``, up to
-    and including the first position that ``admits`` (see
-    :func:`_admission`) rejects.
-
-    Yields one position ``(node, marginal, covered, value)`` per node, where
-    ``covered`` is the mask notified by the nodes before it and ``value``
-    its size; an admitted node is then added to the covered set.  Once the
-    heap is empty a terminal position ``(None, 0, covered, value)`` is the
-    last.  ``heap`` is consumed in place: between two positions it holds
-    every node not yet yielded, keyed (see :func:`_greedy_heap`) by an
-    upper bound of its ratio.  A stale top is re-keyed in place with one
-    ``heapreplace``; only a top whose key is current is popped.  The
-    uncovered set is kept as a non-negative mask, the cheaper operand.
-    """
-    pop, replace = heapq.heappop, heapq.heapreplace
-    free = ((1 << len(masks)) - 1) & ~covered
-    while heap:
+def _celf_step(masks, weights, ids, heap: list[int], free: int) -> tuple[int, int]:
+    """Pop the argmax from the non-empty lazy ``heap`` (see
+    :func:`_greedy_heap`) and return it with its marginal, ``free`` being
+    the uncovered mask: a stale top is re-keyed in place, and the first
+    top whose key is current is popped."""
+    while True:
         top = heap[0]
         i = top & ids
         m = (masks[i] & free).bit_count()
-        if (key := i - m * weights[i]) != top:
-            replace(heap, key)
-            continue
-        pop(heap)
-        yield i, m, covered, value
+        if (key := i - m * weights[i]) == top:
+            heappop(heap)
+            return i, m
+        heapreplace(heap, key)
+
+
+def _greedy_pass(masks, weights, ids, admits, heap: list[int], positions: list):
+    """Lazy (CELF) marginal-per-cost greedy over the nodes in ``heap``, up
+    to the first position that ``admits`` (see :func:`_admission`) rejects.
+    Yields each admitted node, whose neighbourhood is then covered; each
+    position ``(node, marginal)`` joins ``positions`` after its node is
+    yielded, the rejected one as the pass ends.  ``heap`` is consumed."""
+    free, value = (1 << len(masks)) - 1, 0
+    while heap:
+        i, m = _celf_step(masks, weights, ids, heap, free)
         if not admits(i, m, value):
+            positions.append((i, m))
             return
-        covered |= masks[i]
+        yield i
+        positions.append((i, m))
         free &= ~masks[i]
         value += m
-    yield None, 0, covered, value
 
 
-def _forward_pass(masks, scaled: list[int], scale: int, budget: Fraction, positions: list):
-    """The greedy pass under the undamped rule ``c_i <= B * m / (h + m)``.
-
-    Removing winner j leaves every coverage value unchanged, so j's rerun
-    is this pass up to j, then the greedy from a copy of the lazy heap and
-    covered mask just after j is popped; a winner the pass never reaches
-    reruns the whole pass.  Yields each position with ``pay``, which
-    returns its node's threshold payment until the next position is drawn.
-    ``positions`` collects the positions yielded so far.
-    """
+def _forward_pass(masks, scaled: list[int], scale: int, budget: Fraction, admits):
+    """The greedy pass under ``admits``, which must admit nothing that the
+    undamped rule c_i <= B * m / (h + m) rejects, and ``pay``.  Removing
+    winner j leaves every coverage value unchanged, so j's rerun is this
+    pass up to j, then the greedy from a copy of the heap just after j is
+    popped: ``pay(j)`` runs it (see :func:`_threshold`) while the pass
+    yields j, or replays the whole pass once it has ended before j."""
     weights, ids, heap = _greedy_heap(masks, scaled)
-    greedy = partial(_greedy_pass, masks, weights, ids, _admission(budget, scaled, scale))
-    for position in greedy(heap):
-        j, _, covered, value = position
-        def pay():
-            rerun = itertools.chain(positions, greedy(heap[:], covered, value))
-            return _threshold(masks, masks[j], rerun, scaled, scale, budget)
-        yield position, pay
-        positions.append(position)
+    positions = []
+
+    def pay(j: int) -> Fraction:
+        return _threshold(masks, weights, ids, scaled, scale, budget, masks[j], positions, heap[:])
+    return _greedy_pass(masks, weights, ids, admits, heap, positions), pay
 
 
-def _threshold(
-    masks, reach: int, positions, scaled: list[int], scale: int, budget: Fraction
-) -> Fraction:
-    """Critical value of the winner whose neighbourhood mask is ``reach``,
-    from the positions of its rerun (each admitted one, then the first
-    rejected one): the largest candidate min(nabla_k, rho_k) over the
-    positions where the winner would still notify someone.
+def _threshold(masks, weights, ids, scaled, scale, budget, reach, positions, heap) -> Fraction:
+    """Critical value of the winner whose neighbourhood mask is ``reach``:
+    the largest candidate min(nabla_k, rho_k) over the positions of its
+    rerun where the winner would still notify someone.
 
-    rho_k = B * h_jk / (h(T_k) + h_jk) never grows along the rerun, since
-    the covered set T_k only grows, so the scan stops once rho_k cannot
-    beat the running maximum; it also stops once h_jk is 0.  After an
-    admitted position, T_k and h(T_k) of the next one are known before
-    its argmax, so both tests run before the rerun computes it.
-    Candidates are compared as integer (numerator, denominator) pairs.
+    The rerun is one loop: it replays ``positions``, then steps on from
+    ``heap`` (the nodes left, less the winner), up to the first position
+    the undamped rule rejects or, once the heap is empty, a terminal one.
+    rho_k = B * h_jk / (h(T_k) + h_jk) never grows, as T_k only grows, so
+    the loop stops, before the next argmax, once rho_k cannot beat the
+    best (numerator, denominator) pair so far, or once h_jk is 0.
     """
-    best_num, best_den = 0, 1
-    gain = reach.bit_count()
-    if gain == 0:
+    if not (gain := reach.bit_count()):
         return Fraction(0)
-    budget_num, budget_den = budget.numerator, budget.denominator
-    num, den = budget_num, budget_den  # rho_0 = B
-    for i, m, covered, h in positions:
+    best_num, best_den = 0, 1
+    num, den = budget_num, budget_den = budget.numerator, budget.denominator  # rho_0 = B
+    share, free, h, k = budget_num * scale, (1 << len(masks)) - 1, 0, 0
+    while True:
+        if k < len(positions):
+            i, m = positions[k]
+            k += 1
+        else:  # once the heap is empty, the terminal position (None, 0)
+            i, m = _celf_step(masks, weights, ids, heap, free) if heap else (None, 0)
         # (num, den) is rho_k.  A zero marginal at the loser leaves the
         # positional cost unbounded, so rho_k alone caps the candidate.
         if m:
@@ -277,10 +277,13 @@ def _threshold(
                 num, den = nabla_num, nabla_den
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-        # The next position's T_k and h(T_k) follow from this one; a zero
-        # marginal is never admitted, so its position is the last.
-        gain = (reach & ~(covered | masks[i])).bit_count() if m else 0
-        num, den = budget_num * gain, budget_den * (h + m + gain)
+        # The undamped rule; it never admits a zero marginal.
+        if not (m and scaled[i] * (h + m) * budget_den <= share * m):
+            break
+        free &= ~masks[i]
+        h += m
+        gain = (reach & free).bit_count()
+        num, den = budget_num * gain, budget_den * (h + gain)
         if gain == 0 or num * best_den <= best_num * den:
             break
     return Fraction(best_num, best_den)
@@ -302,14 +305,18 @@ def nam_select(
     """
     budget = positive_budget(budget)
     delta = as_fraction(delta)
-    if delta <= 0:
+    if delta.numerator <= 0:
         raise ConfigError("delta must be positive")
 
     scaled, scale = _graph_costs(graph, costs)
-    weights, ids, heap = _greedy_heap(graph.masks, scaled)
-    admits = _admission(budget / delta, scaled, scale)
-    *admitted, (_, _, covered, _) = _greedy_pass(graph.masks, weights, ids, admits, heap)
-    return [i for i, _, _, _ in admitted], frozenset(_bits(covered))
+    masks = graph.masks
+    weights, ids, heap = _greedy_heap(masks, scaled)
+    admits = _admission(budget, delta, scaled, scale)
+    selected, covered = [], 0
+    for i in _greedy_pass(masks, weights, ids, admits, heap, []):
+        selected.append(i)
+        covered |= masks[i]
+    return selected, frozenset(_bits(covered))
 
 
 def npm_prices(
@@ -328,10 +335,10 @@ def npm_prices(
     cost j could have revealed to take position k and rho_jk the budget
     share at that position.  The payment is the maximum candidate.
 
-    The reruns share one forward pass (see :func:`_forward_pass`).  Costs
-    are scaled to integers once per call (see :func:`_greedy_heap`), and
-    every comparison is an integer cross-multiplication; each payment
-    becomes a ``Fraction`` only at the end.
+    The reruns share one forward pass (see :func:`_forward_pass`), which
+    stops at the last winner.  Every comparison is an integer
+    cross-multiplication (see :func:`_greedy_heap`); each payment becomes
+    a ``Fraction`` only at the end.
 
     Raises DomainError on an unknown, non-integer or repeated node id.
     """
@@ -342,22 +349,20 @@ def npm_prices(
     pending = set(selected)
     if len(pending) != len(selected):
         raise DomainError(f"selected list repeats a node id: {selected!r}")
+    if not pending:
+        return {}
 
-    masks = graph.masks
+    admits = _admission(budget, 1, scaled, scale)
+    forward, pay = _forward_pass(graph.masks, scaled, scale, budget, admits)
     payments: dict[int, Fraction] = {}
-    # Positions of the forward pass: the undamped rule's admitted prefix,
-    # then its first rejected position.
-    positions: list[tuple] = []
-    for (j, _, _, _), pay in _forward_pass(masks, scaled, scale, budget, positions):
-        if not pending:
-            break
+    for j in forward:
         if j in pending:
             pending.remove(j)
-            payments[j] = pay()
+            payments[j] = pay(j)
+            if not pending:
+                break
     # Winners after the forward pass's first rejection share its reruns.
-    for j in pending:
-        payments[j] = _threshold(masks, masks[j], positions, scaled, scale, budget)
-    return {j: payments[j] for j in selected}
+    return {j: payments[j] if j in payments else pay(j) for j in selected}
 
 
 def tenm_run(
@@ -372,22 +377,17 @@ def tenm_run(
     damped selection share B / delta is at most the payment rule's B.
 
     Both passes take one argmax sequence and the damped rule is the
-    stricter, so one walk of the undamped forward pass selects and pays,
-    up to the first position that the damped rule rejects.
+    stricter, so one forward pass under the damped rule selects and pays.
     """
     delta = as_fraction(delta)
-    if delta < 1:
+    if delta.numerator < delta.denominator:
         raise ConfigError(f"delta must be at least 1 for tenm, got {delta}")
     budget = positive_budget(budget)
     scaled, scale = _graph_costs(graph, costs)
-    admits = _admission(budget / delta, scaled, scale)
-    payments: dict[int, Fraction] = {}
-    # The undamped pass's last position fails the damped rule too.
-    for (i, m, covered, value), pay in _forward_pass(graph.masks, scaled, scale, budget, []):
-        if not admits(i, m, value):
-            break
-        payments[i] = pay()
-    outcome = NotifierOutcome("tenm", list(payments), frozenset(_bits(covered)), payments, budget)
+    admits = _admission(budget, delta, scaled, scale)
+    forward, pay = _forward_pass(graph.masks, scaled, scale, budget, admits)
+    payments = {i: pay(i) for i in forward}
+    outcome = NotifierOutcome("tenm", list(payments), graph.covered(payments), payments, budget)
     outcome.check(costs)
     return outcome
 

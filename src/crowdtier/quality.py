@@ -220,6 +220,10 @@ def _rank(devices: Iterable[int], batches: Iterable[tuple],
                 and len(ranked.union(reviewers)) == len(eta) + len(reviewers)
                 and len(panel) == len(eta) and {d for d, _ in panel} == ranked):
             raise _fault(batch, eta, reviewers, panel, population, unranked)
+        for d, position in panel:
+            if not 0.0 <= position <= 1.0:
+                raise DomainError(f"batch {batch}: position {position} of device {d} "
+                                  "outside [0, 1]")
         if len(reports) != len(reviewers):
             raise DomainError(f"batch {batch} has {len(reports)} reports for "
                               f"{len(reviewers)} reviewers")
@@ -244,8 +248,8 @@ def ectai_run(devices: Iterable[int], batches: Iterable[tuple]) -> QualityRankin
     the ``(device, position)`` panel of the ranked devices, and the
     reviewers' reports in order.  The panel device nearest the report
     median wins.  Each device must be ranked by exactly one batch; a batch
-    breaking this, or with a missing report or one outside [0, 1], is
-    refused with an error naming it.
+    breaking this, or with a missing report or a report or panel position
+    outside [0, 1], is refused with an error naming it.
     """
     return _rank(devices, batches, median_of)
 

@@ -91,6 +91,21 @@ MUTANTS = [
            "ranked <= unranked and",
            "ranked <= population and",
            ("tests/test_quality.py", "tests/test_properties.py")),
+    # A payment rerun starts with its winner's neighbourhood covered.
+    Mutant("src/crowdtier/notifier.py",
+           "share, free, h, k = budget_num * scale, (1 << len(masks)) - 1, 0, 0",
+           "share, free, h, k = budget_num * scale, ((1 << len(masks)) - 1) & ~reach, 0, 0",
+           ("tests/test_notifier_differential.py",)),
+    # A payment rerun admits under the damped rule B / 2, not B.
+    Mutant("src/crowdtier/notifier.py",
+           "if not (m and scaled[i] * (h + m) * budget_den <= share * m):",
+           "if not (m and scaled[i] * (h + m) * budget_den * 2 <= share * m):",
+           ("tests/test_notifier_differential.py",)),
+    # NotifierOutcome.check accepts a total one unit above the budget.
+    Mutant("src/crowdtier/notifier.py",
+           "if total * self.budget.denominator > self.budget.numerator * den:",
+           "if (total - 1) * self.budget.denominator > self.budget.numerator * den:",
+           ("tests/test_notifier.py",)),
 ]
 
 

@@ -96,12 +96,15 @@ def tier1_round(config: harness.ExperimentConfig, graph, r: int) -> dict:
     }
 
 
+def synthetic_graph(n: int, edge_prob: float, seed: int):
+    """The G(n, p) graph as a list of the drawn edges, built by ``build_graph``."""
+    rng = harness.stream("graph", seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob]
+    return build_graph(n, edges)
+
+
 def tier1_rounds(config: harness.ExperimentConfig) -> list[dict]:
-    rng = harness.stream("graph", config.seed)
-    n = config.synthetic_n
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < config.edge_prob]
-    graph = build_graph(n, edges)
+    graph = synthetic_graph(config.synthetic_n, config.edge_prob, config.seed)
     return [{"round": r, "metrics": tier1_round(config, graph, r)}
             for r in range(1, config.rounds + 1)]
 

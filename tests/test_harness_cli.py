@@ -420,7 +420,7 @@ class TestQualityExperimentDevices:
         def refuse(*args, **kwargs):
             raise AssertionError("quality experiments rank devices without a graph")
 
-        monkeypatch.setattr(harness, "build_graph", refuse)
+        monkeypatch.setattr(harness, "synthetic_graph", refuse)
 
     @pytest.mark.parametrize("mechanism", ["ectai", "avr"])
     def test_synthetic_devices_draw_no_graph(self, no_graph_draw, mechanism):

@@ -3,6 +3,8 @@
 ``reference_harness``, and named cases pin the quality deviation model's
 behaviour at its ends."""
 
+import re
+
 import pytest
 
 import reference_harness as ref
@@ -61,13 +63,25 @@ def test_no_deviation_fraction_picks_no_deviators(mechanism):
 
 
 @pytest.mark.parametrize("mechanism", ["ectai", "avr"])
-def test_round_refuses_peak_outside_unit_interval(mechanism, monkeypatch):
+@pytest.mark.parametrize("frac", [0.0, 1.0])
+def test_round_refuses_peak_outside_unit_interval(mechanism, frac, monkeypatch):
+    # A deviator's peak is checked too, with the text ectai_run gives.
     class Above:
         def sample(self, rng):
             return 1.5
 
     monkeypatch.setattr(harness, "peak_source", lambda dist, mu, sigma: Above())
-    config = ExperimentConfig(mechanism, synthetic_n=20, rounds=1)
+    config = ExperimentConfig(mechanism, synthetic_n=20, rounds=1, deviation_frac=frac)
     with pytest.raises(DomainError) as exc:
         run_experiment(config)
-    assert str(exc.value).startswith("report 1.5 from reviewer ")
+    assert re.fullmatch(r"batch 0: report 1\.5 from reviewer \d+ outside \[0, 1\]",
+                        str(exc.value))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50])
+@pytest.mark.parametrize("edge_prob", [0, 0.3, 1])
+def test_synthetic_graph_masks_match_edge_list_draw(n, edge_prob):
+    for seed in (0, 1, 7, 12345):
+        graph = harness.synthetic_graph(n, edge_prob, seed)
+        want = ref.synthetic_graph(n, edge_prob, seed)
+        assert (graph.n, graph.masks, graph.id_map) == (want.n, want.masks, want.id_map)

@@ -1,13 +1,17 @@
 """Library entry points refuse well-typed values outside their domain
 with a typed ``CrowdtierError`` that names the value."""
 
+from collections import defaultdict
+
 import pytest
 
 from crowdtier import (
     ConfigError,
     DomainError,
     ExperimentConfig,
+    avr_run,
     build_graph,
+    ectai_run,
     mean_of,
     median_of,
     nam_select,
@@ -61,6 +65,18 @@ def test_tier1_missing_cost_is_named_before_an_extra_one():
     with pytest.raises(DomainError) as exc:
         tenm_run(graph, {0: 1, 1: 2, 7: 1}, 10)
     assert str(exc.value) == "no cost for node 2"
+
+
+@pytest.mark.parametrize("run", [nam_select, tenm_run])
+def test_tier1_missing_cost_in_a_defaultdict_is_named_and_not_added(run):
+    # Indexing would call the mapping's default factory: cost 0, a wrong
+    # error text, and a key added to the caller's mapping.
+    graph = build_graph(2, [(0, 1)])
+    costs = defaultdict(int, {0: 3})
+    with pytest.raises(DomainError) as exc:
+        run(graph, costs, 10)
+    assert str(exc.value) == "no cost for node 1"
+    assert dict(costs) == {0: 3}
 
 
 def test_additive_valuation_refuses_negative_task_id():
@@ -128,3 +144,16 @@ def test_first_non_finite_report_is_named_whatever_its_kind(aggregate_of, what):
 
 def test_finite_reports_whose_sum_overflows_are_not_refused():
     assert median_of([1e308, 1e308, 1e308]) == 1e308
+
+
+@pytest.mark.parametrize("run", [ectai_run, avr_run])
+@pytest.mark.parametrize("position", [NAN, 7.0, -3.0])
+@pytest.mark.parametrize("first", [True, False])
+def test_quality_rankers_refuse_panel_position_outside_unit_interval(run, position, first):
+    # A NaN position used to make the winner depend on panel order, and
+    # positions off the [0, 1] scale were ranked.
+    panel = [(0, position), (1, 0.5)] if first else [(1, 0.5), (0, position)]
+    batches = [((0, 1), (2,), panel, (0.5,)), ((2,), (0,), [(2, 0.5)], (0.5,))]
+    with pytest.raises(DomainError) as exc:
+        run([0, 1, 2], batches)
+    assert str(exc.value) == f"batch 0: position {position} of device 0 outside [0, 1]"

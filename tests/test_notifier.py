@@ -360,3 +360,46 @@ class TestOutcomeInvariants:
         )
         with pytest.raises(InvariantError):
             outcome.check({0: Fraction(2)})
+
+    # Tampered copies of one valid outcome: 0 and 1 paid 1/2 and 2/3 of
+    # a budget of 7/6, against reported costs 1/2 and 2/3.
+    PAID = {0: Fraction(1, 2), 1: Fraction(2, 3)}
+    COSTS = {0: Fraction(1, 2), 1: Fraction(2, 3)}
+
+    def outcome(self, selected=(0, 1), payments=PAID, budget=Fraction(7, 6)):
+        return NotifierOutcome("x", list(selected), frozenset(), dict(payments), budget)
+
+    def test_check_accepts_payments_that_spend_the_budget_at_cost(self):
+        self.outcome().check(self.COSTS)
+        self.outcome(payments={0: Fraction(1), 1: 2}, budget=Fraction(3)).check({0: 1, 1: 2})
+
+    @pytest.mark.parametrize("costs, text", [
+        ({0: Fraction(1, 2), 1: Fraction(3, 4)}, "winner 1 paid 2/3 below reported cost 3/4"),
+        ({0: 1, 1: Fraction(2, 3)}, "winner 0 paid 1/2 below reported cost 1"),
+        ({0: "0.5", 1: 0.7}, "winner 1 paid 2/3 below reported cost 0.7"),
+    ])
+    def test_check_refuses_a_payment_below_cost(self, costs, text):
+        with pytest.raises(InvariantError) as exc:
+            self.outcome().check(costs)
+        assert str(exc.value) == text
+
+    def test_check_refuses_a_total_one_unit_above_budget(self):
+        # 1/2 + 2/3 = 7/6 is one sixth, the payments' common unit, above 1.
+        with pytest.raises(InvariantError) as exc:
+            self.outcome(budget=Fraction(1)).check(self.COSTS)
+        assert str(exc.value) == "total payment 7/6 exceeds budget 1"
+
+    @pytest.mark.parametrize("selected, payments", [
+        ((0, 1), {**PAID, 2: Fraction(1)}),
+        ((0, 1), {0: Fraction(1, 2)}),
+        ((0,), PAID),
+    ])
+    def test_check_refuses_a_payment_off_the_selected_set(self, selected, payments):
+        with pytest.raises(InvariantError) as exc:
+            self.outcome(selected, payments).check(self.COSTS)
+        assert str(exc.value) == "payments not defined exactly on selected"
+
+    def test_check_refuses_a_repeated_winner(self):
+        with pytest.raises(InvariantError) as exc:
+            self.outcome(selected=(0, 1, 0)).check(self.COSTS)
+        assert str(exc.value) == "selected list contains duplicates"

@@ -301,8 +301,10 @@ def test_greedy_baseline_invariants(requests):
 
 
 UNIT = st.floats(0.0, 1.0)
+OUTSIDE = st.floats(allow_nan=True).filter(lambda a: not 0.0 <= a <= 1.0)
 PERTURBATIONS = (None, "unknown id", "re-ranked device", "reviewer on panel", "repeated id",
-                 "missing report", "report outside [0, 1]", "dropped last batch")
+                 "missing report", "report outside [0, 1]", "position outside [0, 1]",
+                 "dropped last batch")
 
 
 @st.composite
@@ -353,8 +355,10 @@ def quality_batches(draw):
     elif kind == "missing report":
         del reports[draw(st.integers(0, len(reports) - 1))]
     elif kind == "report outside [0, 1]":
-        outside = st.floats(allow_nan=True).filter(lambda a: not 0.0 <= a <= 1.0)
-        reports[draw(st.integers(0, len(reports) - 1))] = draw(outside)
+        reports[draw(st.integers(0, len(reports) - 1))] = draw(OUTSIDE)
+    elif kind == "position outside [0, 1]":
+        i = draw(st.integers(0, len(panel) - 1))
+        panel[i] = (panel[i][0], draw(OUTSIDE))
     else:
         return devices, batches[:-1], kind, len(batches) - 1
     batches[b] = (eta, reviewers, panel, reports)
