@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -27,6 +26,8 @@ from .graph import SocialGraph, load_edge_list
 from .harness import ExperimentConfig, stream
 from .notifier import Numeric, as_fraction
 from .report import canonical_json, csv_cell, jsonable
+
+_ROUND = 1  # --seed s draws the instance of ``crowdtier experiment --seed s``, round 1.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +140,8 @@ def _dense_costs(graph: SocialGraph, args) -> dict[int, Numeric]:
         if missing:
             raise ConfigError(f"cost file lacks nodes {sorted(missing)[:5]}")
         return {dense: by_label[label] for label, dense in graph.id_map.items()}
-    return harness.uniform_costs(range(graph.n), *args.cost_range, stream("costs", args.seed))
+    rng = stream("round", args.seed, _ROUND)
+    return harness.uniform_costs(range(graph.n), *args.cost_range, rng)
 
 
 def _cmd_graph_info(args) -> str:
@@ -172,19 +174,13 @@ def _cmd_tier1(args) -> str:
     }, args.format)
 
 
-def _batch_rng(seed: int, batch: int) -> random.Random:
-    # Separate stream per batch so batch composition cannot perturb
-    # later batches' draws.
-    return random.Random((seed + 1) * 1_000_003 + batch)
-
-
 def _cmd_quality(args) -> str:
     # Looked up at call time, so a wrapper on the module attribute sees the call.
     run = quality.ectai_run if args.command == "ectai" else quality.avr_run
     devices = range(args.devices)
     source = harness.peak_source(args.dist, args.mu, args.sigma)
     ranking = run(devices, quality.draw_batches(devices, args.f, args.g, source,
-                                                partial(_batch_rng, args.seed)))
+                                                partial(stream, "qbatch", args.seed, _ROUND)))
     return _render({
         "mechanism": args.command,
         "ordered": ranking.ordered,
@@ -199,7 +195,7 @@ def _cmd_wipd(args) -> str:
     if args.valuations:
         vals = _load_valuations(args.valuations, args.num_tasks)
     else:
-        vals = harness.additive_values(stream("valuations", args.seed), args.num_bidders,
+        vals = harness.additive_values(stream("round", args.seed, _ROUND), args.num_bidders,
                                        args.num_tasks, *args.val_range)
     oracle = auction.BruteForceOracle(vals)
     outcome = auction.wipd_run(
@@ -215,7 +211,7 @@ def _cmd_wipd(args) -> str:
 
 
 def _cmd_greedy(args) -> str:
-    requests = harness.bundle_requests(stream("requests", args.seed), args.num_bidders,
+    requests = harness.bundle_requests(stream("round", args.seed, _ROUND), args.num_bidders,
                                        args.num_tasks, *args.val_range)
     outcome = auction.greedy_baseline(requests, num_tasks=args.num_tasks)
     return _render({
@@ -375,10 +371,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return 2
-    except CrowdtierError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except (CrowdtierError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -35,6 +35,19 @@ class SocialGraph:
                 raise DomainError(f"mask of node {i} references nodes >= n")
             if (m >> i) & 1:
                 raise DomainError(f"self-loop at node {i}")
+            for j in _bits(m):
+                if not (self.masks[j] >> i) & 1:
+                    raise DomainError(f"node {i} lists node {j}, but {j} does not list {i}")
+
+    @classmethod
+    def _symmetric(cls, masks: list[int], id_map: dict) -> SocialGraph:
+        """A graph from masks that are valid by construction: in range,
+        loop-free and symmetric.  Skips the O(edges) check of ``__init__``."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", len(masks))
+        object.__setattr__(graph, "masks", tuple(masks))
+        object.__setattr__(graph, "id_map", id_map)
+        return graph
 
     @property
     def num_edges(self) -> int:
@@ -86,6 +99,12 @@ def _bits(mask: int) -> Iterator[int]:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> SocialGraph:
     """Build a graph from 0-based edge pairs (self-loops dropped, deduped)."""
+    return SocialGraph._symmetric(_edge_masks(n, edges), {i: i for i in range(n)})
+
+
+def _edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    if n < 0:
+        raise DomainError(f"n is {n}, expected n >= 0")
     masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -94,7 +113,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> SocialGraph:
             continue
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return SocialGraph(n=n, masks=tuple(masks), id_map={i: i for i in range(n)})
+    return masks
 
 
 def load_edge_list(path) -> SocialGraph:
@@ -134,6 +153,4 @@ def parse_edge_list(text: str) -> SocialGraph:
             raise GraphParseError(lineno, line, "node ids must be non-negative")
         edges.append((dense(u), dense(v)))
 
-    n = len(id_map)
-    graph = build_graph(n, edges)
-    return SocialGraph(n=n, masks=graph.masks, id_map=dict(id_map))
+    return SocialGraph._symmetric(_edge_masks(len(id_map), edges), id_map)

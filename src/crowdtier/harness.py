@@ -2,11 +2,14 @@
 mechanism execution, and report assembly.
 
 The instance generators and mechanism dispatch here are shared with the
-CLI.  Each caller passes a generator its own named RNG stream (a round
-uses ``stream("round", seed, r)``, the CLI ``stream("costs", seed)`` and
-kin), so reports are byte-identical across reruns and independent of
-scheduling.  Wall clock is kept out of serialized reports for the same
-reason.
+CLI.  Round r of seed s draws on four named RNG streams:
+``stream("graph", s)`` (the synthetic graph, the same in every round),
+``stream("round", s, r)`` (costs, valuations or bundle requests, then the
+deviators), ``stream("deviators", s, r)`` (the quality deviators) and
+``stream("qbatch", s, r, b)`` (quality batch b).  The CLI's single-shot
+subcommands draw round 1's streams.  Named streams keep reports
+byte-identical across reruns and independent of scheduling; wall clock
+is kept out of serialized reports for the same reason.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def synthetic_graph(n: int, edge_prob: float, seed: int) -> SocialGraph:
             row |= 1 << j
             masks[j] |= bit
         masks[i] |= row
-    return SocialGraph(n, tuple(masks), {i: i for i in range(n)})
+    return SocialGraph._symmetric(masks, {i: i for i in range(n)})
 
 
 def load_config_graph(config: ExperimentConfig) -> SocialGraph:

@@ -106,6 +106,26 @@ MUTANTS = [
            "if total * self.budget.denominator > self.budget.numerator * den:",
            "if (total - 1) * self.budget.denominator > self.budget.numerator * den:",
            ("tests/test_notifier.py",)),
+    # Single-shot commands draw experiment round 2's instance, not round 1's.
+    Mutant("src/crowdtier/cli.py",
+           "_ROUND = 1",
+           "_ROUND = 2",
+           ("tests/test_harness_cli.py",)),
+    # The CLI exits 1, not 2, on an invariant violation.
+    Mutant("src/crowdtier/cli.py",
+           'sys.stderr.write(f"invariant violation: {exc}\\n")\n        return 2',
+           'sys.stderr.write(f"invariant violation: {exc}\\n")\n        return 1',
+           ("tests/test_harness_cli.py",)),
+    # AuctionOutcome.check skips its overlap test.
+    Mutant("src/crowdtier/auction.py",
+           "if bundle & taken:",
+           "if False:",
+           ("tests/test_library_refusals.py",)),
+    # SocialGraph accepts asymmetric masks.
+    Mutant("src/crowdtier/graph.py",
+           "for j in _bits(m):",
+           "for j in ():",
+           ("tests/test_library_refusals.py",)),
 ]
 
 

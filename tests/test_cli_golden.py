@@ -22,15 +22,15 @@ GOLDEN = {
     "tenm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv":
         "beb568353316cce290abd1cb881dd3818290210cb568d9efd2d4b06b3be48b71",
     "tenm --graph tests/data/ex6.txt --budget 40 --cost-range 2:9 --seed 3":
-        "9f912b54edc36f4a606503f2977df053a6f1b939204972e0b136aab322f26562",
+        "d9fa7d0d668adf01692af892cfff27af866d6b43688dd3142a5e3e7247503dcb",
     "ntbfm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv":
         "2de8840507e5a1cd03021bf965d65fa197372e9ceacf764d0892d518fc8a7e83",
     "ntbfm --graph tests/data/ex6.txt --budget 40 --cost-range 2:9 --seed 3":
-        "75e14b8dbfd376927554fc07c942745ccd57ba114a1705ded0311d25d0bbbbc4",
+        "a339432c9bb26dbb066af714b1c5a8f169767bf825b16082a31886a35f965d19",
     "psm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv":
         "7e9a133ad603aecc2b6aa713bb421d19fa7a415432cceb349ba6140b04a1adbd",
     "psm --graph tests/data/ex6.txt --budget 40 --cost-range 2:9 --seed 3":
-        "05c3a64e84c26a1d14e6d30c6705fd46d64d4771d5b987bc47c87ef7f4aa32ad",
+        "9931c8ab456caf2944d3d1fda1ffbc67d4fdd6cdc6e1973ba97b5c4e249c9b78",
     "tenm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv --delta 3":
         "e318c41612fbcf027670dee7f249736ac46c401e128afe04f90f87b18baff3cb",
     "tenm --graph tests/data/ex6.txt --budget 9 --cost-range 1:5 --delta 1/2 --seed 17":
@@ -38,45 +38,45 @@ GOLDEN = {
     "tenm --graph tests/data/ex6.txt --budget 12 --cost-range 50:20":
         "c7c3c900f2c816d65fd8cd48080f7c4d7981587c900bd25e8f0148ff75f62619",
     "ectai --devices 12 --f 3 --g 3 --seed 0":
-        "ab721cfd83ac5b4d3c07c66e86c3cda25e66f4fb2275d71bccaed8d240db4074",
+        "356aaddb0967c5551f67ff1a329fc7ce8f48228f507373544af66e6ab3f53a74",
     "ectai --devices 12 --f 3 --g 3 --seed 3":
-        "4295d0641fa62f8df429d706d1961a8e4a9a122ffdd5ffd2d134b0cef235d184",
+        "d022af8d06bc1a5f5eb6dd6d26bf6d95d86242c742195df5015a8001424bac93",
     "ectai --devices 12 --f 3 --g 3 --seed 17":
-        "b0d9e5147841704189cf232135d6184794959905ee5f1912ac91ff7afb298dd2",
+        "e8aafafb8b73390226395c65ec1493fc89b65de7ac0ad0f27632c076bdf1e6a5",
     "ectai --devices 20 --f 4 --g 5 --dist normal --mu 0.4 --sigma 0.2 --seed 3":
-        "beffd91ec4e1f7bf2c04bfd52fca5a7718b910cdfbb4e4a382b549ff765aa193",
+        "2a2aa4575defbc3127d4d7eaa1ddca4acf714b56dcf1db3856069c9185ce3bc0",
     "avr --devices 12 --f 3 --g 3 --seed 0":
-        "368e9a9118efb9f95e66e5c4b5c937dfc2164874ff71010d9348a9e70c0e84f9",
+        "e1801687ecee46d3bccfbfe4bf74bcc20c4532404f095b95098a8d01b7e9cd92",
     "avr --devices 12 --f 3 --g 3 --seed 3":
-        "d3a7029fadc08a075096122d7b81a7d1e37155856e1b59a97d43b37a1f2ad43e",
+        "64351dd00c42a48f0541984670b401c9af37da819e9b642bf9f2993b1d54bd41",
     "avr --devices 12 --f 3 --g 3 --seed 17":
-        "73bf010651ea964f742effe488bb3a6df2a12af4d8e4f836ad687c83c1738b0b",
+        "44fd9f66bd5b9ea91fbac203890ed20eb084a92bb0c5e0e1d9a5cc35ebdbb2e9",
     "avr --devices 20 --f 4 --g 5 --dist normal --mu 0.4 --sigma 0.2 --seed 3":
-        "c90f531417497d049c4b52441f0445f6422cafdb06f48c173619c70e4aace279",
+        "65a2e68b07f1a7e64eff4cb8bc74380b9a9fc2b3be0d0de972f9997bdc2810df",
     "ectai --devices 5 --f 3 --g 3":
         "b3cc7bc574548dd3e28fe245d4e44c4733d3bb5f9a5e2ee59d8837841987af1c",
     "wipd --num-tasks 4 --bidders 2 --val-range 3:9 --seed 0":
-        "c80a475304d5817becda50da65289961deb346602c47063413a5ed99d8cfbacc",
+        "d5755b3e242072ea0890bdaaaf81aff5b89014a04b68f1fb9deb4178b364cf11",
     "greedy --num-tasks 4 --bidders 3 --val-range 3:9 --seed 0":
-        "a95bbc6fc9998cd1b978ba7d24b2be3621a278ce859cf973b3edc01e249f3304",
+        "671418c007fa6f212e43042055f1881b79430940ece707859cf4532b081bb8ed",
     "wipd --num-tasks 4 --bidders 2 --val-range 3:9 --seed 3":
-        "0eea752802cfbbcca929ca7b9bc728d213c5e99a17e5b40cb2c9d7adabac76e9",
+        "7eeb24f04e9d9356f3d103c3997178735081a3bd32e3d7666ac49d78de43f80c",
     "greedy --num-tasks 4 --bidders 3 --val-range 3:9 --seed 3":
-        "9a501933db9c3a21d0d0073bb08a8c86b37a1574705eca1c073f026f8b81f3f4",
+        "e1a6cd630bd4badf4df8e05eeccd88308b5e5661bc14e349d83c5488ebe72629",
     "wipd --num-tasks 4 --bidders 2 --val-range 3:9 --seed 17":
-        "50f094dc56ca879dd90d22bf42f2884576145db71162be418f342bd0f3f42f39",
+        "fbdb084e9a09c9a88af8dae6e460ef097c8f88720357b6418d071c3a6a971119",
     "greedy --num-tasks 4 --bidders 3 --val-range 3:9 --seed 17":
-        "654866a11b44bad4b373c7048d12ab2442c93b03af952820bae505b88c2b2af2",
+        "be8d336f1df20dac47b66afa0e44b751383cf5881b29870afc5266e0b4d1a784",
     "wipd --num-tasks 1000 --bidders 100 --seed 1":
-        "1a330d136f12e709e53bee694ba31f953ef287ee1a43a39d1d08d27ad8b1541b",
+        "9020633159871d02fac2d584a57fa070ced3e53a8138983ebcbf82db6033c225",
     # One auction under the default pass limit, the oracle's round hint,
     # and one stopped by --max-rounds before it settles.
     "wipd --epsilon 1/3 --seed 1":
-        "f7062a24e12422f83f621a6c303f53e2519dcf3762fed3efec5a397d147bc4c8",
+        "8db805ce55b2a1543ec57585d5d7e6c3c3bbd687ec9b4033f8510b325f746d5a",
     "wipd --max-rounds 2 --seed 1":
         "35c7bb9572e34225b360d5cdc3eb4a442b127bcd14e4fa6c1fa7a7128bfd6f88",
     "greedy --seed 3":
-        "3d8e80593a467a3f74d3e50a5a91a3a2a82116ebd05a6363ac9a3142384dd991",
+        "051e9b08e6f97e5add1e07e37e963baa8aa2e522020909802c7cf52fddb9b02d",
     "estimate --degree 6 --p 0.3 --estimator expected":
         "546e7c159d9360885415c58af0289bdcca479fb6d71f3bf0e5c05b8f4ff36dac",
     "estimate --degree 6 --p 0.3 --estimator at-least-one":
@@ -190,15 +190,15 @@ GOLDEN = {
     "tenm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv --format csv":
         "a0a7acdbdaad0ef74bbe5f17849703a4b6ebd6a94246fc5b9662cfe0839c7a18",
     "tenm --graph tests/data/ex6.txt --budget 40 --cost-range 2:9 --seed 3 --format csv":
-        "f910be3e2eea93724dabe9c90c74f7c171d12ab165c122f48732fe79eac47155",
+        "49b2ed014e25e75c89a8b10160abb02ee210b9718ccdfadcf1995b8fc2050363",
     "ntbfm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv --format csv":
         "ac6fb3b5e9151d646450ce1c10564fa895630cc88b4958c61a1c2f00d22619e5",
     "ntbfm --graph tests/data/ex6.txt --budget 40 --cost-range 2:9 --seed 3 --format csv":
-        "7ba2185079a166993cca430cb1379598b31855e1d7bb4204d3e979abe672e968",
+        "0d41322761e2c4ff8d4fee42790b7c403f348510ea26b6470a3d02091479a141",
     "psm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv --format csv":
         "f87b43860c9095a923ad7af3017f392901ccfec56daf81532315b03ecd5f02e1",
     "psm --graph tests/data/ex6.txt --budget 40 --cost-range 2:9 --seed 3 --format csv":
-        "fd1a40cf946150f8d85e66eb4d8f5ffe5579ef55133cfcfc9c9729d8f7318300",
+        "477d04dfabaff3d7d912f02aa189e285d5fc56c09022d2b487e383124b48f4d3",
     "tenm --graph tests/data/ex6.txt --budget 12 --costs tests/data/ex6_costs.csv --delta 3 --format csv":
         "66f051d32d6127d7653f25aedb4d764d188fb30a5225ba3194bfdee487d6a5c5",
     "tenm --graph tests/data/ex6.txt --budget 9 --cost-range 1:5 --delta 1/2 --seed 17 --format csv":
@@ -206,37 +206,37 @@ GOLDEN = {
     "tenm --graph tests/data/ex6.txt --budget 12 --cost-range 50:20 --format csv":
         "c7c3c900f2c816d65fd8cd48080f7c4d7981587c900bd25e8f0148ff75f62619",
     "ectai --devices 12 --f 3 --g 3 --seed 0 --format csv":
-        "b46b0c3e332a81b80a854cf0e1a10130a5c3d4b7f79d2be8b459bd7bb305e26d",
+        "f35723e49878cec8d6da548650702e767d0bde746457456b3d0b25fa1ae4df1d",
     "ectai --devices 12 --f 3 --g 3 --seed 3 --format csv":
-        "5dd142a2d7f2bba8b396a12fb4dc784ad11b67a8ad5d38ab2a6b62a23a22d65e",
+        "40f2b2035d7cc7c092305880569054e096918fa347be51fe95cb826775e5e29a",
     "ectai --devices 12 --f 3 --g 3 --seed 17 --format csv":
-        "98c1e984e873adb5e50c77ec535b8df2defb673bfe1c7581de13b27f035e9bfd",
+        "c52d18cdc5c1ba68cad5c146b78a70865dd0c1217149d867b6792f6c37dd2688",
     "ectai --devices 20 --f 4 --g 5 --dist normal --mu 0.4 --sigma 0.2 --seed 3 --format csv":
-        "e0c5127ed3f2c4e706e47d54a7e8f2e49b6bbda0f418eae6c403a07a1b58c0d0",
+        "5997b6510b876b2e1bcd981c6a2cd1df63fc1ba830061bc7e9583b559b720225",
     "avr --devices 12 --f 3 --g 3 --seed 0 --format csv":
-        "1c2f60d9153e34ad119063aea6b20efcb31d2646f25077b5df882dfdb1d197f9",
+        "1e62066248cf0ea7b0c3cffbd3fe2d9aabf70f496eee3a32f690c1c2e3a1b031",
     "avr --devices 12 --f 3 --g 3 --seed 3 --format csv":
-        "c90b7babae2754d4b73b786f0a4e9d9f3971770ba2aa9a04f604727876e466ed",
+        "896ea5659d04f2448dfcb65adaa8593d90b8872882d76227b8f9e4ba81adf2e3",
     "avr --devices 12 --f 3 --g 3 --seed 17 --format csv":
-        "dae3114db94711633407a5ec4c4b7cfdbcd36d7c69ed1c3eb9555acfa43ae6e6",
+        "a010b8a838f14adf00850d9ce9263cc15822ebdcc4dfd5ad3d4b25720b8f4d6d",
     "avr --devices 20 --f 4 --g 5 --dist normal --mu 0.4 --sigma 0.2 --seed 3 --format csv":
-        "27afe7a49facb4598ed1ba20dbbef396c596bb782e494bdf3d05c3625298e851",
+        "64907156aed54bbda84b6617bfdce469617b504420373b8f993ad9aded9ab643",
     "ectai --devices 5 --f 3 --g 3 --format csv":
         "b3cc7bc574548dd3e28fe245d4e44c4733d3bb5f9a5e2ee59d8837841987af1c",
     "wipd --num-tasks 4 --bidders 2 --val-range 3:9 --seed 0 --format csv":
-        "5bca5a1c5c0a5ba27c78e88f76ccf45d5a40c4d6db67721ea00d6d67ca66e87e",
+        "c7abfce8255a9ac9e52e1062124754c11e6f72b7c4bb5ceeffe825a4d64a7799",
     "greedy --num-tasks 4 --bidders 3 --val-range 3:9 --seed 0 --format csv":
-        "d10e29172d253e2df13ce8278c6f741c83fad29fc0d24c0401720e71a8ede870",
+        "b0584b7a62f660f34ce706efa48c76a0d012aee606fb6dd25e99defcc4c4be7b",
     "wipd --num-tasks 4 --bidders 2 --val-range 3:9 --seed 3 --format csv":
-        "7f57cd85ba5adcbc88fe3bf75b52a0c0af99127e6ceac4b0ceabcffa07aeb76d",
+        "371bb11c498c3e7ef94a8d3780b36a8ae553be8eb321a80f59040f8897e9e313",
     "greedy --num-tasks 4 --bidders 3 --val-range 3:9 --seed 3 --format csv":
-        "2090f61b4255b621342613dff18f3ce6c085ea5fc03ea6d33694ea6dfb3c9cab",
+        "a320b3c5c1ceb9c6b82c9d95edbeae2ab538bab69aaea0d12e40a1e065f2aa75",
     "wipd --num-tasks 4 --bidders 2 --val-range 3:9 --seed 17 --format csv":
-        "76a9d4e97b9502d8041dac6c5515386a98573978ba6507846596d50d1227981c",
+        "b349f172a5ab8000d462d8a6910eabc1ead31f888cc427c701e6b00f24723018",
     "greedy --num-tasks 4 --bidders 3 --val-range 3:9 --seed 17 --format csv":
-        "1c273249623028b760d83bddfd47915cee8bc0392bd021709a6398ff224934b2",
+        "13ec9fc5b7e3c5be7afe57e17d0b24f9f0e9f55547f01fea3f67dfa69fa2a200",
     "greedy --seed 3 --format csv":
-        "234f738891d6b9f3f6f2e6cece478a4c5f3f5a15bc6177057496f5ad5e401431",
+        "8001c6150b7a708e4a31563c7e92b6dbda937a3e9c4cc5425a85c2fa3c08fa78",
     "estimate --degree 6 --p 0.3 --estimator expected --format csv":
         "7b9bc8792e9de9c66c58bc8dd7b0dcd42a2a76377644e90400afdc7e07244fad",
     "estimate --degree 6 --p 0.3 --estimator at-least-one --format csv":
@@ -348,15 +348,15 @@ GOLDEN = {
     # Pools above random.sample's set-size threshold (85 for g = 7), so the
     # reviewer draws take its set-based branch rather than the list copy.
     "ectai --devices 300 --f 5 --g 7 --seed 1":
-        "a280368aff8b1548c9b5bc8cf5248fa9fdf4c40a7a949828c6445ab6559a1118",
+        "6000e289b895b23e529d80c1502ec89db8bd15de55d144b806a7f7e39ee0bbe9",
     "avr --devices 300 --f 5 --g 7 --seed 1":
-        "4c911b334a04815df0e5199a12f57917621a20b0de1088c2a923f85066c53971",
+        "ba462a1a29f99740d7621a7c2dbb661571d0975fe5d940fc7c55097906b4a22f",
     "ectai --devices 300 --f 5 --g 7 --seed 2":
-        "c0add635d1212d150214dbd067683560c4ee6ea35ed252248e3ce2f2c401c098",
+        "16154fc443131f0d26faee88572e11b30e3146936d9e2f8fa173d126f815c007",
     "avr --devices 300 --f 5 --g 7 --seed 2":
-        "5e81b71c0529d6f6f7d115f24e1ce609090276467485aad91a4c5882536ddeaf",
+        "de6ef2bc1ad1592b869efabb2bc00e649c592149de1a09178bf3a1cd440f1346",
     "ectai --devices 150 --f 6 --g 12 --dist normal --seed 4":
-        "5e09da0a8209cff1a8fd15256e3d051d3f6000ca29d68cd1e8ee1089cc97685b",
+        "03744f1654907fde4d7ed9e887ae3cfbbfed1b218cc283227f3d234386e424bd",
     "experiment --mechanism ectai --n 300 --f 5 --g 7 --rounds 1 --deviation-frac 0.2 --seed 2":
         "1e28e66047a66451957b66e0c6e9977365a1c2b5dda088997082109acbd10e51",
     "experiment --mechanism avr --n 300 --f 5 --g 7 --rounds 1 --deviation-frac 0.2 --seed 2":

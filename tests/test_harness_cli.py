@@ -3,6 +3,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -10,8 +12,8 @@ import crowdtier
 
 from crowdtier import ConfigError, ExperimentConfig, MechanismReport, run_experiment
 from crowdtier import harness
-from crowdtier.cli import _batch_rng, _load_costs_csv, main
-from crowdtier.harness import synthetic_graph
+from crowdtier.cli import _load_costs_csv, main
+from crowdtier.harness import stream, synthetic_graph
 from helpers import find_avr_witness, find_greedy_witness, find_ntbfm_witness
 from crowdtier import nam_select, ntbfm, psm
 
@@ -246,7 +248,7 @@ class TestCli:
         [(devices, batches)] = calls
         assert devices == range(14)
         assert batches == list(crowdtier.quality.draw_batches(
-            range(14), 3, 4, crowdtier.UniformPeaks(), lambda b: _batch_rng(5, b)))
+            range(14), 3, 4, crowdtier.UniformPeaks(), partial(stream, "qbatch", 5, 1)))
 
     def test_wipd_cli(self, capsys):
         code = main(["wipd", "--num-tasks", "3", "--bidders", "2",
@@ -442,3 +444,56 @@ class TestQualityExperimentDevices:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+class TestSeedNamesOneInstance:
+    """A single-shot subcommand draws, for seed s, the instance that
+    ``crowdtier experiment --seed s`` draws for round 1."""
+
+    SHARED = {
+        **dict.fromkeys(harness.TIER1, ["--graph", "tests/data/ex6.txt", "--budget", "40",
+                                        "--cost-range", "2:9"]),
+        **dict.fromkeys(harness.TIER2_QUALITY, ["--f", "3", "--g", "3"]),
+        "wipd": ["--num-tasks", "4", "--bidders", "2", "--val-range", "3:9", "--epsilon", "1"],
+        "greedy": ["--num-tasks", "4", "--bidders", "3", "--val-range", "3:9"],
+    }
+
+    def run(self, argv, capsys) -> dict:
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5"])
+    @pytest.mark.parametrize("mechanism", harness.MECHANISMS)
+    def test_single_shot_output_is_round_one(self, capsys, monkeypatch, mechanism, seed):
+        monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+        flags = [*self.SHARED[mechanism], "--seed", seed]
+        quality = mechanism in harness.TIER2_QUALITY
+        shot = self.run([mechanism, *flags, *(["--devices", "12"] if quality else [])], capsys)
+        report = self.run(["experiment", "--mechanism", mechanism, *flags, "--rounds", "1",
+                           "--deviation-frac", "0", *(["--n", "12"] if quality else [])],
+                          capsys)
+        round_one = report["rounds"][0]["metrics"]
+        if mechanism in harness.TIER1:
+            id_map = crowdtier.load_edge_list("tests/data/ex6.txt").id_map
+            assert [id_map[label] for label in shot["selected"]] == round_one["selected"]
+            assert shot["total_payment"] == round_one["total_payment"]
+        elif quality:
+            assert shot["ordered"] == round_one["ordered"]
+        elif mechanism == "wipd":
+            assert shot["allocation"] == round_one["allocation"]
+        else:
+            assert sorted(int(d) for d in shot["allocation"]) == round_one["winners"]
+        if mechanism in harness.TIER2_AUCTION:
+            paid = sum(map(Fraction, shot["payments"].values()), Fraction(0))
+            assert str(paid) == round_one["total_payment"]
+
+
+def test_invariant_violation_exits_2_with_one_line(capsys, monkeypatch, ex6_paths):
+    def broken(*args, **kwargs):
+        raise crowdtier.InvariantError("payments exceed the budget")
+
+    monkeypatch.setattr(crowdtier.notifier, "tenm_run", broken)
+    assert main(["tenm", "--graph", ex6_paths[0], "--budget", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invariant violation: payments exceed the budget\n"

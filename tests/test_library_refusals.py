@@ -2,26 +2,39 @@
 with a typed ``CrowdtierError`` that names the value."""
 
 from collections import defaultdict
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from crowdtier import (
+    AuctionOutcome,
+    BruteForceOracle,
     ConfigError,
     DomainError,
     ExperimentConfig,
+    InvariantError,
+    SocialGraph,
+    UniformPeaks,
     avr_run,
     build_graph,
+    canonical_json,
     ectai_run,
     mean_of,
     median_of,
+    monte_carlo_notified,
     nam_select,
     npm_prices,
     ntbfm,
     psm,
+    tail_at,
     tenm_run,
+    wipd_run,
 )
 from crowdtier import harness
 from crowdtier.auction import AdditiveValuation
+from crowdtier.harness import stream
+from crowdtier.quality import draw_batches
 
 
 def test_build_graph_refuses_out_of_range_self_loop():
@@ -157,3 +170,96 @@ def test_quality_rankers_refuse_panel_position_outside_unit_interval(run, positi
     with pytest.raises(DomainError) as exc:
         run([0, 1, 2], batches)
     assert str(exc.value) == f"batch 0: position {position} of device 0 outside [0, 1]"
+
+
+def test_social_graph_refuses_asymmetric_masks():
+    # SocialGraph(2, (2, 0)) used to be accepted: num_edges read 0, yet
+    # tenm_run on it notified node 1.
+    with pytest.raises(DomainError) as exc:
+        SocialGraph(2, (2, 0))
+    assert str(exc.value) == "node 0 lists node 1, but 1 does not list 0"
+    with pytest.raises(DomainError) as exc:
+        SocialGraph(3, (0, 0, 2))
+    assert str(exc.value) == "node 2 lists node 1, but 1 does not list 2"
+
+
+def test_social_graph_refuses_mask_beyond_n_and_self_loop():
+    with pytest.raises(DomainError) as exc:
+        SocialGraph(2, (0, 4))
+    assert str(exc.value) == "mask of node 1 references nodes >= n"
+    with pytest.raises(DomainError) as exc:
+        SocialGraph(2, (0, 2))
+    assert str(exc.value) == "self-loop at node 1"
+
+
+def test_builders_match_the_checked_constructor():
+    for graph in (build_graph(4, [(0, 1), (2, 1), (3, 3)]),
+                  harness.synthetic_graph(30, 0.3, 2)):
+        assert SocialGraph(graph.n, graph.masks, graph.id_map) == graph
+
+
+def test_auction_outcome_check_refuses_overlapping_bundles():
+    outcome = AuctionOutcome(
+        allocation={0: frozenset({0, 1}), 1: frozenset({1})},
+        payments={0: Fraction(5), 1: Fraction(3)},
+        prices=(Fraction(2), Fraction(3)), rounds=1,
+    )
+    with pytest.raises(InvariantError) as exc:
+        outcome.check()
+    assert str(exc.value) == "allocation of device 1 overlaps another device"
+
+
+def test_auction_outcome_check_refuses_payment_off_its_price_sum():
+    outcome = AuctionOutcome(
+        allocation={0: frozenset({0}), 1: frozenset({1})},
+        payments={0: Fraction(2), 1: Fraction(7, 2)},
+        prices=(Fraction(2), Fraction(3)), rounds=1,
+    )
+    with pytest.raises(InvariantError) as exc:
+        outcome.check()
+    assert str(exc.value) == "payment of device 1 is 7/2, expected 3"
+
+
+def test_wipd_run_refuses_max_rounds_below_one():
+    oracle = BruteForceOracle({0: AdditiveValuation({0: 5})})
+    with pytest.raises(ConfigError) as exc:
+        wipd_run(1, [0], oracle, 1, max_rounds=0)
+    assert str(exc.value) == "max_rounds must be at least 1"
+
+
+@pytest.mark.parametrize("f, g", [(0, 2), (2, 0)])
+def test_draw_batches_refuses_f_or_g_below_one(f, g):
+    batches = draw_batches(range(6), f, g, UniformPeaks(), partial(stream, "qbatch", 1, 1))
+    with pytest.raises(ConfigError) as exc:
+        list(batches)
+    assert str(exc.value) == "f and g must be at least 1"
+
+
+def test_tail_at_refuses_non_positive_t():
+    with pytest.raises(DomainError) as exc:
+        tail_at(0)
+    assert str(exc.value) == "t must be positive"
+
+
+def test_monte_carlo_notified_refuses_p_above_one():
+    with pytest.raises(DomainError) as exc:
+        monte_carlo_notified(build_graph(2, [(0, 1)]), 0, 1.5, 10, 1)
+    assert str(exc.value) == "p must lie in [0, 1], got 1.5"
+
+
+@pytest.mark.parametrize("field, message", [
+    (dict(cost_lo=9, cost_hi=2), "cost range must satisfy 1 <= lo <= hi"),
+    (dict(cost_lo=0), "cost range must satisfy 1 <= lo <= hi"),
+    (dict(val_lo=50, val_hi=40), "valuation range must satisfy 1 <= lo <= hi"),
+    (dict(dist="cauchy"), "unknown distribution 'cauchy'"),
+    (dict(num_tasks=0), "num_tasks must be positive"),
+    (dict(deviation_delta=-1), "deviation_delta must be positive"),
+])
+def test_experiment_config_validate_refuses_as_a_library(field, message):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig("tenm", **field).validate()
+    assert str(exc.value) == message
+
+
+def test_canonical_json_writes_a_set_sorted():
+    assert canonical_json({"s": {3, 1, 2}, "f": frozenset()}) == '{"f":[],"s":[1,2,3]}\n'

@@ -17,7 +17,7 @@ from crowdtier import (
     select_quality,
 )
 from crowdtier import quality
-from crowdtier.cli import _batch_rng
+from crowdtier.harness import stream
 from crowdtier.quality import reviewer_regret
 from reference_quality import plan_batches
 
@@ -37,7 +37,7 @@ EXAMPLE_BATCHES = [
 
 def drawn(n, f, g, source, seed):
     """The batches ``crowdtier ectai --devices n --seed seed`` ranks."""
-    return quality.draw_batches(range(n), f, g, source, partial(_batch_rng, seed))
+    return quality.draw_batches(range(n), f, g, source, partial(stream, "qbatch", seed, 1))
 
 
 class TestAggregates:
@@ -169,13 +169,13 @@ class TestPlanBatches:
             assert len(peaks) == len(reviewers)
 
     def test_replay_of_plan_matches_unscripted_run(self):
-        batches = plan_batches(range(20), 3, 4, NormalPeaks(), lambda b: _batch_rng(5, b))
+        batches = plan_batches(range(20), 3, 4, NormalPeaks(), partial(stream, "qbatch", 5, 1))
         replayed = ectai_run(range(20), batches)
         direct = ectai_run(range(20), drawn(20, 3, 4, NormalPeaks(), 5))
         assert replayed == direct
 
     def test_avr_replay_of_plan_matches_unscripted_run(self):
-        batches = plan_batches(range(20), 3, 4, UniformPeaks(), lambda b: _batch_rng(3, b))
+        batches = plan_batches(range(20), 3, 4, UniformPeaks(), partial(stream, "qbatch", 3, 1))
         replayed = avr_run(range(20), batches)
         assert replayed == avr_run(range(20), drawn(20, 3, 4, UniformPeaks(), 3))
 
