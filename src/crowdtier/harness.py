@@ -207,7 +207,9 @@ def _quality_round(config: ExperimentConfig, devices: list[int], r: int) -> dict
 
     Deviating reviewers report the position of their favorite panel
     device (the one nearest their true peak) instead of the peak itself.
-    Regrets are measured from the true peaks.
+    A regret is ``abs(peak - aggregate)``, from the true peak; the peaks
+    are checked to lie in [0, 1], and any median or mean of them lies
+    there too.
     """
     deviators = set(
         pick_deviators(devices, config.deviation_frac, stream("deviators", config.seed, r))
@@ -218,20 +220,19 @@ def _quality_round(config: ExperimentConfig, devices: list[int], r: int) -> dict
     deviator_regrets = []
     for b, (_, reviewers, panel, peaks) in enumerate(quality.draw_batches(
         devices, config.f, config.g, peak_source(config.dist, config.mu, config.sigma),
-        lambda batch: stream("qbatch", config.seed, r, batch),
+        partial(stream, "qbatch", config.seed, r),
     )):
-        reports = list(peaks)
-        for i, rev in enumerate(reviewers):
-            if not 0.0 <= peaks[i] <= 1.0:
-                raise DomainError(f"batch {b}: report {peaks[i]} from reviewer {rev} "
-                                  "outside [0, 1]")
-            if rev in deviators:
-                reports[i] = dict(panel)[quality.select_quality(panel, peaks[i])]
-        aggregate = aggregate_of(reports)
-        ordered.append(quality.select_quality(panel, aggregate))
         for rev, alpha in zip(reviewers, peaks):
-            regret = quality.reviewer_regret(alpha, aggregate)
-            (deviator_regrets if rev in deviators else regrets).append(regret)
+            if not 0.0 <= alpha <= 1.0:
+                raise DomainError(f"batch {b}: report {alpha} from reviewer {rev} "
+                                  "outside [0, 1]")
+        position = dict(panel)
+        aggregate = aggregate_of([
+            position[quality.select_quality(panel, alpha)] if rev in deviators else alpha
+            for rev, alpha in zip(reviewers, peaks)])
+        for rev, alpha in zip(reviewers, peaks):
+            (deviator_regrets if rev in deviators else regrets).append(abs(alpha - aggregate))
+        ordered.append(quality.select_quality(panel, aggregate))
     return {
         "ordered": ordered,
         "batches": len(ordered),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -75,13 +75,6 @@ def select_quality(panel: Sequence[tuple[int, float]], aggregate: float) -> int:
     return winner
 
 
-def reviewer_regret(true_alpha: float, aggregate: float) -> float:
-    """Distance between a reviewer's true peak and the batch aggregate."""
-    if not (0.0 <= true_alpha <= 1.0 and 0.0 <= aggregate <= 1.0):
-        raise DomainError("peak values live on [0, 1]")
-    return abs(true_alpha - aggregate)
-
-
 # --- reviewer report providers -------------------------------------------
 
 class UniformPeaks:
@@ -128,6 +121,39 @@ class QualityRanking:
         return [b.winner for b in self.batches]
 
 
+def _sample_indices(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
+    """k distinct indices into ``range(n)``, 0 <= k <= n, drawn from
+    ``getrandbits`` as CPython 3.10-3.13's ``random.Random.sample`` draws
+    ``sample(range(n), k)``, in its order.  Up to its set-size threshold
+    (21, or 21 + 4^ceil(log4 3k) for k > 5) it swaps in a pool list;
+    above it, it collects indices into a set, drawing again on a repeat.
+    Each index below a bound m is ``getrandbits(m.bit_length())``, drawn
+    again until it is below m, as ``_randbelow_with_getrandbits`` does."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    drawn = []
+    if n <= setsize:
+        pool = list(range(n))
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            drawn.append(pool[j])
+            pool[j] = pool[m - 1]
+        return drawn
+    bits = n.bit_length()
+    selected = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        drawn.append(j)
+    return drawn
+
+
 def draw_batches(
     devices: Iterable[int],
     f: int,
@@ -143,52 +169,39 @@ def draw_batches(
     the panel (ranked devices stay eligible), the panel's positions, then
     the peaks.
 
-    Reviewers are sampled as indices into the pool of sorted devices less
-    the panel, and the pool itself is never built.  ``random.sample``
-    reads its population only through its length and by position (by
-    indexing, or by ``list()`` when it is small), and its random draws
-    depend on ``(len(population), k)`` alone, so sampling
-    ``range(len(pool))`` takes the same draws from the stream as sampling
-    the pool.  Pool index j maps back to ``devices`` index j + c, where c
-    counts the panel devices at sorted place k and ``devices`` index p with
-    p - k <= j (one ``bisect_right`` over those p - k); the map is
-    increasing, so sorted indices give sorted reviewers.  ``unranked`` is
-    one sorted list that drops the panel in place, so each panel draw sees
-    the same devices in the same order, and no batch copies the population.
-
-    A stream whose ``sample`` ranks a device twice, or draws a reviewer
-    index twice or outside the pool, is a ``ConfigError`` naming the batch.
+    Devices and reviewers are drawn by :func:`_sample_indices` from the
+    stream's ``getrandbits``, the positions from its ``random`` and the
+    peaks by ``peak_source.sample``; the stream's own ``sample`` is never
+    called.  ``unranked`` holds the places in the sorted ``devices`` of
+    the devices not yet ranked; the ranked devices are drawn as indices
+    into it and deleted from it in place.  The reviewers are indices into
+    the pool of sorted devices less the panel, which is never built: pool
+    index j maps back to ``devices`` index j + c, where c counts the panel
+    devices at sorted place k and ``devices`` index p with p - k <= j (one
+    ``bisect_right`` over those p - k).  The map is increasing, so sorted
+    indices give sorted reviewers, and no batch copies the population.
     """
     devices = sorted(set(devices))
     if f < 1 or g < 1:
         raise ConfigError("f and g must be at least 1")
     if f + g > len(devices):
         raise ConfigError(f"f + g = {f + g} exceeds the {len(devices)} available devices")
-    unranked = list(devices)
+    sample = peak_source.sample
+    unranked = list(range(len(devices)))
     batch = 0
     while unranked:
         rng = batch_rng(batch)
-        eta = sorted(rng.sample(unranked, min(f, len(unranked))))
-        if not eta:
-            raise ConfigError(f"batch {batch} ranks no device")
-        below = []
-        for k, d in enumerate(eta):
-            at = bisect_left(unranked, d)
-            if at == len(unranked) or unranked[at] != d:
-                raise ConfigError(f"batch {batch} ranks device {d}, which is not unranked")
-            del unranked[at]
-            below.append(bisect_left(devices, d) - k)
-        pool = len(devices) - len(eta)
-        reviewers = []
-        last = -1
-        for j in sorted(rng.sample(range(pool), g)):
-            if not last < j < pool:
-                raise ConfigError(f"batch {batch} draws reviewer index {j} twice or "
-                                  f"outside the pool 0..{pool - 1}")
-            last = j
-            reviewers.append(devices[j + bisect_right(below, j)])
+        getrandbits = rng.getrandbits
+        taken = sorted(_sample_indices(getrandbits, len(unranked), min(f, len(unranked))))
+        places = [unranked[t] for t in taken]
+        for t in reversed(taken):
+            del unranked[t]
+        below = [p - k for k, p in enumerate(places)]
+        eta = [devices[p] for p in places]
+        reviewers = [devices[j + bisect_right(below, j)]
+                     for j in sorted(_sample_indices(getrandbits, len(devices) - len(eta), g))]
         panel = [(d, rng.random()) for d in eta]
-        yield eta, reviewers, panel, [peak_source.sample(rng) for _ in reviewers]
+        yield eta, reviewers, panel, [sample(rng) for _ in reviewers]
         batch += 1
 
 

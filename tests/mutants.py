@@ -43,6 +43,8 @@ class Mutant(NamedTuple):
 
 HARNESS = "src/crowdtier/harness.py"
 HARNESS_TESTS = ("tests/test_harness_differential.py",)
+QUALITY = "src/crowdtier/quality.py"
+QUALITY_DIFFERENTIAL = ("tests/test_quality_differential.py",)
 
 MUTANTS = [
     # Tier-1 deviators over-report their cost instead of under-reporting it.
@@ -58,13 +60,13 @@ MUTANTS = [
            HARNESS_TESTS),
     # Deviating quality reviewers report their true peak.
     Mutant(HARNESS,
-           "reports[i] = dict(panel)[quality.select_quality(panel, peaks[i])]",
-           "reports[i] = peaks[i]",
+           "position[quality.select_quality(panel, alpha)] if rev in deviators else alpha",
+           "alpha if rev in deviators else alpha",
            HARNESS_TESTS),
     # Quality regrets are not split by deviator.
     Mutant(HARNESS,
-           "(deviator_regrets if rev in deviators else regrets).append(regret)",
-           "regrets.append(regret)",
+           "(deviator_regrets if rev in deviators else regrets).append(abs(alpha - aggregate))",
+           "regrets.append(abs(alpha - aggregate))",
            HARNESS_TESTS),
     # Wipd deviators report their true values.
     Mutant(HARNESS,
@@ -82,12 +84,12 @@ MUTANTS = [
            "            room -= scaled[i] * den\n        else:\n            continue\n",
            ("tests/test_baseline_differential.py",)),
     # Quality ties go to the highest device id.
-    Mutant("src/crowdtier/quality.py",
+    Mutant(QUALITY,
            "distance == best and device < winner",
            "distance == best and device > winner",
            ("tests/test_quality.py",)),
     # The quality ranker accepts a batch that re-ranks a device.
-    Mutant("src/crowdtier/quality.py",
+    Mutant(QUALITY,
            "ranked <= unranked and",
            "ranked <= population and",
            ("tests/test_quality.py", "tests/test_properties.py")),
@@ -125,6 +127,22 @@ MUTANTS = [
     Mutant("src/crowdtier/graph.py",
            "for j in _bits(m):",
            "for j in ():",
+           ("tests/test_library_refusals.py",)),
+    # The batch sampler switches from a pool list to a set one population
+    # size before random.sample does.
+    Mutant(QUALITY,
+           "if n <= setsize:",
+           "if n < setsize:",
+           QUALITY_DIFFERENTIAL),
+    # The batch sampler's set branch accepts a repeated index.
+    Mutant(QUALITY,
+           "while j >= n or j in selected:",
+           "while j >= n:",
+           QUALITY_DIFFERENTIAL),
+    # draw_batches takes f or g below 1.
+    Mutant(QUALITY,
+           "if f < 1 or g < 1:",
+           "if False:",
            ("tests/test_library_refusals.py",)),
 ]
 

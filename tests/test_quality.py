@@ -18,7 +18,6 @@ from crowdtier import (
 )
 from crowdtier import quality
 from crowdtier.harness import stream
-from crowdtier.quality import reviewer_regret
 from reference_quality import plan_batches
 
 # The worked four-batch example: twelve devices, panels of three, five
@@ -87,11 +86,6 @@ class TestSelectQuality:
     def test_empty_panel_rejected(self):
         with pytest.raises(DomainError):
             select_quality([], 0.5)
-
-    def test_regret_bounds(self):
-        assert reviewer_regret(0.3, 0.5) == pytest.approx(0.2)
-        with pytest.raises(DomainError):
-            reviewer_regret(1.5, 0.5)
 
 
 class TestScriptedReplay:
@@ -296,24 +290,19 @@ class TestMedianStrategyproofness:
         assert abs(mean_of([0.0, 0.5, 0.8]) - 0.2) < truthful_gap
 
 
-class ScriptedSample(random.Random):
-    """A batch stream whose ``sample`` returns a fixed panel or fixed
-    reviewer indices; every other draw is the seeded stream's."""
-
-    def __init__(self, batch, panel=None, picks=None):
-        super().__init__(f"scripted-sample:{batch}")
-        self.panel, self.picks = panel, picks
-
-    def sample(self, population, k):
-        fixed = self.picks if isinstance(population, range) else self.panel
-        return list(fixed) if fixed is not None else super().sample(population, k)
+@st.composite
+def draw_inputs(draw):
+    """A device list with repeats and sparse, possibly negative ids, and
+    f, g >= 1 with f + g at most its number of distinct devices."""
+    distinct = draw(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=120,
+                             unique=True))
+    devices = distinct + draw(st.lists(st.sampled_from(distinct), max_size=6))
+    f = draw(st.integers(1, len(distinct) - 1))
+    g = draw(st.integers(1, len(distinct) - f))
+    return draw(st.permutations(devices)), f, g, draw(st.integers(0, 10**6))
 
 
 class TestDrawBatches:
-    def run(self, **fixed):
-        return list(quality.draw_batches(range(10), 2, 3, UniformPeaks(),
-                                         lambda b: ScriptedSample(b, **fixed)))
-
     def test_yields_plain_lists_in_plan_batches_order(self):
         def batch_rng(b):
             return random.Random(f"draw:{b}")
@@ -325,32 +314,24 @@ class TestDrawBatches:
         # that the draws come as lists.
         assert batches == planned
 
-    def test_already_ranked_device_names_the_batch(self):
-        with pytest.raises(ConfigError) as exc:
-            self.run(panel=[4, 7])
-        assert str(exc.value) == "batch 1 ranks device 4, which is not unranked"
-
-    def test_device_ranked_twice_in_one_batch_names_the_batch(self):
-        with pytest.raises(ConfigError) as exc:
-            self.run(panel=[5, 5])
-        assert str(exc.value) == "batch 0 ranks device 5, which is not unranked"
-
-    def test_repeated_reviewer_index_names_the_batch(self):
-        with pytest.raises(ConfigError) as exc:
-            self.run(picks=[6, 2, 2])
-        assert str(exc.value) == "batch 0 draws reviewer index 2 twice or outside the pool 0..7"
-
-    @pytest.mark.parametrize("picks", [[-1, 0, 3], [0, 3, 8]])
-    def test_reviewer_index_outside_the_pool_names_the_batch(self, picks):
-        # Index -1 or 8 would map to a panel device or past the population.
-        with pytest.raises(ConfigError) as exc:
-            self.run(picks=picks)
-        assert str(exc.value).startswith("batch 0 draws reviewer index ")
-
-    def test_empty_panel_draw_names_the_batch(self):
-        with pytest.raises(ConfigError) as exc:
-            self.run(panel=[])
-        assert str(exc.value) == "batch 0 ranks no device"
+    @PROPERTIES
+    @given(draw_inputs())
+    def test_batches_partition_the_devices_and_review_from_outside(self, inputs):
+        devices, f, g, seed = inputs
+        population = sorted(set(devices))
+        batches = list(quality.draw_batches(devices, f, g, UniformPeaks(),
+                                            partial(stream, "qbatch", seed, 1)))
+        etas = [eta for eta, _, _, _ in batches]
+        assert sorted(d for eta in etas for d in eta) == population
+        assert all(eta == sorted(set(eta)) for eta in etas)
+        assert [len(eta) for eta in etas[:-1]] == [f] * (len(etas) - 1)
+        assert 1 <= len(etas[-1]) <= f
+        for eta, reviewers, panel, peaks in batches:
+            assert reviewers == sorted(set(reviewers)) and len(reviewers) == g
+            assert set(reviewers) <= set(population) and set(reviewers).isdisjoint(eta)
+            assert [d for d, _ in panel] == eta
+            assert all(0.0 <= position < 1.0 for _, position in panel)
+            assert len(peaks) == len(reviewers)
 
     def test_drawn_peak_outside_unit_interval_rejected(self):
         class Above:

@@ -1,8 +1,11 @@
-"""Differential tests: ``draw_batches``, which draws reviewers by pool
-index and shrinks one sorted ``unranked`` list in place, must yield batch
-for batch exactly the batches of the list-rebuilding reference planner
-(``reference_quality.plan_batches``), and ``select_quality`` must
-pick what the reference's ``min`` picks."""
+"""Differential tests: ``quality._sample_indices`` must draw what
+``random.Random.sample`` draws; ``draw_batches``, which draws with it by
+pool index and shrinks one sorted ``unranked`` list in place, must yield
+batch for batch exactly the batches of the list-rebuilding reference
+planner (``reference_quality.plan_batches``), which calls
+``random.Random.sample``; and ``select_quality`` must pick what the
+reference's ``min`` picks.  The sampler copies CPython's algorithm, so
+these tests run on every interpreter the package supports."""
 
 import math
 import random
@@ -12,7 +15,7 @@ import pytest
 
 import reference_quality as ref
 from crowdtier import NormalPeaks, UniformPeaks
-from crowdtier.quality import draw_batches, select_quality
+from crowdtier.quality import _sample_indices, draw_batches, select_quality
 
 SOURCES = {"uniform": UniformPeaks(), "normal": NormalPeaks(0.4, 0.25)}
 
@@ -64,6 +67,19 @@ def test_sample_setsize_is_where_sample_stops_copying(k):
         population = Population(n)
         random.Random(k).sample(population, k)
         assert population.copied is copied
+
+
+@pytest.mark.parametrize("k", range(1, 26))
+def test_sample_indices_draws_what_sample_draws(k):
+    # Populations of exactly k, on both sides of the set-size threshold,
+    # and at the benchmark size; after the draw, both streams must be in
+    # the same state, so the later draws of a batch match too.
+    edge = sample_setsize(k)
+    for n in sorted({k, max(k, edge - 1), edge, edge + 1, 2500}):
+        for seed in (0, 1, 7, f"qbatch:{n}:{k}"):
+            want, got = random.Random(seed), random.Random(seed)
+            assert _sample_indices(got.getrandbits, n, k) == want.sample(range(n), k), (n, seed)
+            assert got.getstate() == want.getstate()
 
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
