@@ -179,8 +179,8 @@ def _cmd_quality(args) -> str:
     run = quality.ectai_run if args.command == "ectai" else quality.avr_run
     devices = range(args.devices)
     source = harness.peak_source(args.dist, args.mu, args.sigma)
-    ranking = run(devices, quality.draw_batches(devices, args.f, args.g, source,
-                                                partial(stream, "qbatch", args.seed, _ROUND)))
+    batch_rng = harness.batch_streams("qbatch", args.seed, _ROUND)
+    ranking = run(devices, quality.draw_batches(devices, args.f, args.g, source, batch_rng))
     return _render({
         "mechanism": args.command,
         "ordered": ranking.ordered,

@@ -10,6 +10,11 @@ deviators), ``stream("deviators", s, r)`` (the quality deviators) and
 subcommands draw round 1's streams.  Named streams keep reports
 byte-identical across reruns and independent of scheduling; wall clock
 is kept out of serialized reports for the same reason.
+
+Draws are read in bulk where the stream allows it without changing them:
+the synthetic graph takes each node's row of pair draws in one
+``getrandbits`` call, and a round's quality batches reseed one generator
+(:func:`batch_streams`) rather than build one per batch.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import auction, notifier, quality
 from .errors import ConfigError, DomainError
@@ -39,6 +44,21 @@ DISTRIBUTIONS = ("uniform", "normal")
 def stream(*key) -> random.Random:
     """Named deterministic RNG stream (string seeds hash via sha512)."""
     return random.Random(":".join(str(k) for k in key))
+
+
+def batch_streams(*key) -> Callable[[int], random.Random]:
+    """A ``batch_rng`` for :func:`quality.draw_batches`: batch b gets one
+    generator, shared by every batch, reseeded to the state of
+    ``stream(*key, b)``.  ``Random.seed`` also clears the cached second
+    normal draw, as a fresh generator starts without one."""
+    prefix = ":".join(str(k) for k in key)
+    rng = random.Random(0)
+
+    def batch_rng(b: int) -> random.Random:
+        rng.seed(f"{prefix}:{b}")
+        return rng
+
+    return batch_rng
 
 
 @dataclass
@@ -105,17 +125,43 @@ def _check_edge_prob(edge_prob: float) -> None:
 
 def synthetic_graph(n: int, edge_prob: float, seed: int) -> SocialGraph:
     """G(n, p) on the ``stream("graph", seed)`` draws: pair (i, j), i < j,
-    in row order, is an edge iff its draw is below ``edge_prob``.  Each
-    draw sets its bits in the neighbourhood masks directly."""
+    in row order, is an edge iff its ``random()`` draw is below
+    ``edge_prob``.
+
+    Row i's draws are read in one ``getrandbits(64 * (n - 1 - i))`` call,
+    whose 32-bit words, least significant first, are the words ``random()``
+    takes two per draw; this relies on CPython's ``random`` (3.10-3.13),
+    which the differential test checks on each interpreter in CI.  A draw
+    of words w0, w1 is ``((w0 >> 5) << 26 | w1 >> 6) / 2**53``, below p iff
+    that integer is below ``cut = ceil(p * 2**53)``, so the top byte of w0
+    decides the pair unless it equals ``cut >> 45``, and then all 53 bits
+    do.  Each row's 0/1 flags are written reversed into the node's row of
+    an n x n byte grid and forward down its column, so each mask is the
+    grid row read as a binary numeral; the grid holds n**2 bytes while
+    the masks are built (16 MB at n = 4,039).
+    """
     _check_edge_prob(edge_prob)
-    draw = stream("graph", seed).random
-    masks = [0] * n
-    for i in range(n):
-        row, bit = 0, 1 << i
-        for j in [j for j in range(i + 1, n) if draw() < edge_prob]:
-            row |= 1 << j
-            masks[j] |= bit
-        masks[i] |= row
+    getrandbits = stream("graph", seed).getrandbits
+    cut = math.ceil(Fraction(edge_prob) * 2**53)
+    tie = cut >> 45
+    # Top byte -> b"1" (edge), b"0" (no edge) or b"?" (decided by all 53 bits).
+    table = (b"1" * tie + b"?" + b"0" * 255)[:256]
+    grid = bytearray(b"0") * (n * n)
+    for i in range(n - 1):
+        m = n - 1 - i
+        draws = getrandbits(64 * m).to_bytes(8 * m, "little")
+        flags = draws[3::8].translate(table)
+        k = flags.find(b"?")
+        if k >= 0:
+            flags = bytearray(flags)
+            while k >= 0:
+                w0 = int.from_bytes(draws[8 * k:8 * k + 4], "little")
+                w1 = int.from_bytes(draws[8 * k + 4:8 * k + 8], "little")
+                flags[k] = ord("1") if (w0 >> 5) << 26 | w1 >> 6 < cut else ord("0")
+                k = flags.find(b"?", k + 1)
+        grid[i * n:i * n + m] = flags[::-1]
+        grid[(i + 1) * n + m::n] = flags
+    masks = [int(grid[i * n:(i + 1) * n], 2) for i in range(n)]
     return SocialGraph._symmetric(masks, {i: i for i in range(n)})
 
 
@@ -220,7 +266,7 @@ def _quality_round(config: ExperimentConfig, devices: list[int], r: int) -> dict
     deviator_regrets = []
     for b, (_, reviewers, panel, peaks) in enumerate(quality.draw_batches(
         devices, config.f, config.g, peak_source(config.dist, config.mu, config.sigma),
-        partial(stream, "qbatch", config.seed, r),
+        batch_streams("qbatch", config.seed, r),
     )):
         for rev, alpha in zip(reviewers, peaks):
             if not 0.0 <= alpha <= 1.0:

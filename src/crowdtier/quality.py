@@ -76,12 +76,16 @@ def select_quality(panel: Sequence[tuple[int, float]], aggregate: float) -> int:
 
 
 # --- reviewer report providers -------------------------------------------
+#
+# ``draw_batches`` asks a peak source for a batch's k peaks in one
+# ``peaks(rng, k)`` call.
 
 class UniformPeaks:
     """Reviewer peaks drawn uniformly from [0, 1]."""
 
-    def sample(self, rng: random.Random) -> float:
-        return rng.random()
+    def peaks(self, rng: random.Random, k: int) -> list[float]:
+        draw = rng.random
+        return [draw() for _ in range(k)]
 
 
 class NormalPeaks:
@@ -97,8 +101,13 @@ class NormalPeaks:
         self.mu = mu
         self.sigma = sigma
 
+    def peaks(self, rng: random.Random, k: int) -> list[float]:
+        gauss, mu, sigma = rng.gauss, self.mu, self.sigma
+        return [min(1.0, max(0.0, gauss(mu, sigma))) for _ in range(k)]
+
     def sample(self, rng: random.Random) -> float:
-        return min(1.0, max(0.0, rng.gauss(self.mu, self.sigma)))
+        """One peak, as ``peaks(rng, 1)`` draws it."""
+        return self.peaks(rng, 1)[0]
 
 
 @dataclass
@@ -171,8 +180,12 @@ def draw_batches(
 
     Devices and reviewers are drawn by :func:`_sample_indices` from the
     stream's ``getrandbits``, the positions from its ``random`` and the
-    peaks by ``peak_source.sample``; the stream's own ``sample`` is never
-    called.  ``unranked`` holds the places in the sorted ``devices`` of
+    peaks by one ``peak_source.peaks(rng, g)`` call; the stream's own
+    ``sample`` is never called.  All of batch b's draws are taken before
+    ``batch_rng(b + 1)`` is called, so ``batch_rng`` may reseed and return
+    one generator for every batch.
+
+    ``unranked`` holds the places in the sorted ``devices`` of
     the devices not yet ranked; the ranked devices are drawn as indices
     into it and deleted from it in place.  The reviewers are indices into
     the pool of sorted devices less the panel, which is never built: pool
@@ -186,7 +199,7 @@ def draw_batches(
         raise ConfigError("f and g must be at least 1")
     if f + g > len(devices):
         raise ConfigError(f"f + g = {f + g} exceeds the {len(devices)} available devices")
-    sample = peak_source.sample
+    draw_peaks = peak_source.peaks
     unranked = list(range(len(devices)))
     batch = 0
     while unranked:
@@ -201,7 +214,7 @@ def draw_batches(
         reviewers = [devices[j + bisect_right(below, j)]
                      for j in sorted(_sample_indices(getrandbits, len(devices) - len(eta), g))]
         panel = [(d, rng.random()) for d in eta]
-        yield eta, reviewers, panel, [sample(rng) for _ in reviewers]
+        yield eta, reviewers, panel, draw_peaks(rng, g)
         batch += 1
 
 

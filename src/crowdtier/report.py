@@ -19,13 +19,20 @@ from .errors import DomainError
 SCHEMA_VERSION = 1
 
 
+_PLAIN = frozenset({int, float, str, bool, type(None)})
+
+
 def jsonable(value):
     """Recursively convert report values to canonical JSON-safe forms.
 
+    Values whose exact type is a plain scalar come back as they are,
+    before any ``isinstance`` test: they are most of a report's values.
     Raises DomainError for a rational whose numerator or denominator has
     more digits than the interpreter converts to text
     (``sys.get_int_max_str_digits()``).
     """
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Fraction):
         try:
             return str(value) if value.denominator != 1 else str(value.numerator)

@@ -144,6 +144,29 @@ MUTANTS = [
            "if f < 1 or g < 1:",
            "if False:",
            ("tests/test_library_refusals.py",)),
+    # The synthetic graph makes an edge of every pair whose top byte ties
+    # with the cut's.
+    Mutant(HARNESS,
+           'flags[k] = ord("1") if (w0 >> 5) << 26 | w1 >> 6 < cut else ord("0")',
+           'flags[k] = ord("1")',
+           HARNESS_TESTS),
+    # The synthetic graph compares the top byte with the cut's top 9 bits.
+    Mutant(HARNESS,
+           "tie = cut >> 45",
+           "tie = cut >> 44",
+           HARNESS_TESTS),
+    # The synthetic graph writes a row's flags one column off down its column.
+    Mutant(HARNESS,
+           "grid[(i + 1) * n + m::n] = flags",
+           "grid[(i + 1) * n + m - 1::n] = flags",
+           HARNESS_TESTS),
+    # Quality batches reseed through _random.Random.seed, on the integer
+    # Random.seed derives from the key, which keeps the cached normal draw.
+    Mutant(HARNESS,
+           'rng.seed(f"{prefix}:{b}")',
+           'super(random.Random, rng).seed(int.from_bytes(f"{prefix}:{b}".encode()'
+           ' + __import__("hashlib").sha512(f"{prefix}:{b}".encode()).digest(), "big"))',
+           HARNESS_TESTS),
 ]
 
 

@@ -30,7 +30,7 @@ def plan_batches(devices, f, g, peak_source, batch_rng):
         pool = [d for d in devices if d not in chosen]
         reviewers = sorted(rng.sample(pool, g))
         panel = [(d, rng.random()) for d in eta]
-        batches.append((eta, reviewers, panel, [peak_source.sample(rng) for _ in reviewers]))
+        batches.append((eta, reviewers, panel, [peak_source.peaks(rng, 1)[0] for _ in reviewers]))
         unranked = [d for d in unranked if d not in chosen]
     return batches
 

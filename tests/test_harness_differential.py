@@ -3,7 +3,11 @@
 ``reference_harness``, and named cases pin the quality deviation model's
 behaviour at its ends."""
 
+import math
+import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -67,8 +71,8 @@ def test_no_deviation_fraction_picks_no_deviators(mechanism):
 def test_round_refuses_peak_outside_unit_interval(mechanism, frac, monkeypatch):
     # A deviator's peak is checked too, with the text ectai_run gives.
     class Above:
-        def sample(self, rng):
-            return 1.5
+        def peaks(self, rng, k):
+            return [1.5] * k
 
     monkeypatch.setattr(harness, "peak_source", lambda dist, mu, sigma: Above())
     config = ExperimentConfig(mechanism, synthetic_n=20, rounds=1, deviation_frac=frac)
@@ -85,3 +89,23 @@ def test_synthetic_graph_masks_match_edge_list_draw(n, edge_prob):
         graph = harness.synthetic_graph(n, edge_prob, seed)
         want = ref.synthetic_graph(n, edge_prob, seed)
         assert (graph.n, graph.masks, graph.id_map) == (want.n, want.masks, want.id_map)
+
+
+def test_synthetic_graph_matches_edge_list_draw_up_to_90_nodes():
+    # A draw whose top byte equals that of cut = ceil(p * 2**53) is a tie
+    # the top byte cannot decide; some ties must come out each way.
+    floats = random.Random(5).random
+    probs = [0, 1, Fraction(1, 3), Decimal("0.3"), 1 / 256, 100 / 256, 255 / 256,
+             *(floats() for _ in range(4))]
+    tie_outcomes = set()
+    for n in range(91):
+        for k, p in enumerate(probs):
+            seed = (n + k) % 4
+            graph = harness.synthetic_graph(n, p, seed)
+            want = ref.synthetic_graph(n, p, seed)
+            assert (graph.n, graph.masks, graph.id_map) == (want.n, want.masks, want.id_map)
+            top = math.ceil(Fraction(p) * 2**53) >> 45
+            draw = harness.stream("graph", seed).random
+            draws = [draw() for _ in range(n * (n - 1) // 2)]
+            tie_outcomes.update(x < p for x in draws if int(x * 256) == top)
+    assert tie_outcomes == {False, True}

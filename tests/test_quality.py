@@ -173,10 +173,10 @@ class TestPlanBatches:
         replayed = avr_run(range(20), batches)
         assert replayed == avr_run(range(20), drawn(20, 3, 4, UniformPeaks(), 3))
 
-    def test_peak_source_needs_only_sample_rng(self):
+    def test_peak_source_needs_only_peaks(self):
         class Fixed:
-            def sample(self, rng):
-                return 0.25
+            def peaks(self, rng, k):
+                return [0.25] * k
 
         batches = list(quality.draw_batches(range(10), 2, 3, Fixed(), random.Random))
         assert {peak for _, _, _, peaks in batches for peak in peaks} == {0.25}
@@ -335,8 +335,8 @@ class TestDrawBatches:
 
     def test_drawn_peak_outside_unit_interval_rejected(self):
         class Above:
-            def sample(self, rng):
-                return 1.5
+            def peaks(self, rng, k):
+                return [1.5] * k
 
         with pytest.raises(DomainError) as exc:
             avr_run(range(10), drawn(10, 2, 3, Above(), 1))
